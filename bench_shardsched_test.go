@@ -33,7 +33,7 @@ import (
 // difference is what the snapshot/delta-commit store eliminates: the
 // per-placement O(hosts) rebuild and the per-call trace/sort allocations.
 // Ratios are same-process and machine-independent; cmd/benchgate -kind
-// shardsched gates on them.
+// shardsched gates on them (and on the dense-fleet ratio below).
 // ---------------------------------------------------------------------------
 
 // shardBenchHosts/shardBenchVMs size the fleet. 2000 hosts is the ROADMAP
@@ -169,20 +169,19 @@ func measureShardBaseline(arrivals []shardBenchArrival) (elapsed time.Duration, 
 	return elapsed, m1.Mallocs - m0.Mallocs, placed
 }
 
-// measureShardCurrent: snapshot store + one-shard scheduler in waves.
-func measureShardCurrent(arrivals []shardBenchArrival) (elapsed time.Duration, mallocs uint64, placed int) {
+// measureShardRounds: snapshot store + one-shard scheduler in waves, over
+// the given fleet with the given pipeline (nil: the stock interference
+// pipeline). Returns the scheduler for its binds.
+func measureShardRounds(arrivals []shardBenchArrival, fleet []*schedshard.HostInfo, newPipe func() *schedshard.Pipeline) (elapsed time.Duration, mallocs uint64, sched *schedshard.Scheduler) {
 	store := schedshard.NewStore()
-	store.Publish(shardBenchFleet())
-	sched := schedshard.NewScheduler(store, schedshard.Config{Shards: 1, Workers: 1, Seed: 7})
+	store.Publish(fleet)
+	sched = schedshard.NewScheduler(store, schedshard.Config{Shards: 1, Workers: 1, Seed: 7, NewPipeline: newPipe})
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
 	for lo := 0; lo < len(arrivals); lo += shardBenchWave {
-		hi := lo + shardBenchWave
-		if hi > len(arrivals) {
-			hi = len(arrivals)
-		}
+		hi := min(lo+shardBenchWave, len(arrivals))
 		for _, a := range arrivals[lo:hi] {
 			sched.Enqueue(a.spec, a.vm)
 		}
@@ -191,19 +190,105 @@ func measureShardCurrent(arrivals []shardBenchArrival) (elapsed time.Duration, m
 	sched.Run()
 	elapsed = time.Since(start)
 	runtime.ReadMemStats(&m1)
-	return elapsed, m1.Mallocs - m0.Mallocs, len(sched.Bound())
+	return elapsed, m1.Mallocs - m0.Mallocs, sched
+}
+
+// ---------------------------------------------------------------------------
+// Dense-fleet case: interference scoring against resident VMs.
+//
+// The fleet above starts empty, so InterferenceAware has almost nothing to
+// scan. Here every host already runs shardDenseResidents VMs (every fourth
+// host bulk senders, the rest latency-sensitive, like perfbench's
+// fleet-admit), and the same arrivals go through the same one-shard
+// scheduler twice: once with the stock interference pipeline, whose
+// InterferenceAware reads the Store's per-host digest, and once with
+// scanInterference, a replica of the pre-digest scorer that walks every
+// resident by value. The two must bind identically (the digest is
+// bit-exact); the ratio is what the digest saves.
+// ---------------------------------------------------------------------------
+
+const shardDenseResidents = 25
+
+func shardBenchDenseFleet() []*schedshard.HostInfo {
+	hosts := shardBenchFleet()
+	for i, h := range hosts {
+		h.VMs = make([]schedshard.VMInfo, 0, shardDenseResidents)
+		for j := 0; j < shardDenseResidents; j++ {
+			spec := schedshard.Spec{Name: fmt.Sprintf("r%d-%d", i, j), LatencySensitive: true, BufferSize: 64 << 10}
+			vm := schedshard.VMInfo{Spec: spec, BytesPerSec: 2e6, BufferSize: 64 << 10}
+			if i%4 == 0 {
+				spec = schedshard.Spec{Name: spec.Name, BufferSize: 2 << 20}
+				vm = schedshard.VMInfo{Spec: spec, BytesPerSec: 30e6, BufferSize: 2 << 20}
+			}
+			h.VMs = append(h.VMs, vm)
+			h.FreePCPUs--
+			h.IOCommitted += vm.BytesPerSec / h.LinkBytesPerSec
+		}
+	}
+	return hosts
+}
+
+// scanInterference replicates the pre-digest InterferenceAware.Score at
+// its default parameters: a by-value walk over every resident per call.
+type scanInterference struct{}
+
+func (scanInterference) Name() string { return "interference-scan" }
+
+func (scanInterference) Score(h *schedshard.HostInfo, s schedshard.Spec) float64 {
+	const large, static = 256 << 10, 1.0
+	penalty := 0.0
+	if s.LatencySensitive {
+		for _, vm := range h.VMs {
+			if vm.EffectiveBuffer() >= large {
+				penalty += static
+				if h.LinkBytesPerSec > 0 {
+					penalty += vm.BytesPerSec / h.LinkBytesPerSec
+				}
+			}
+		}
+	} else if s.BufferSize >= large {
+		for _, vm := range h.VMs {
+			if vm.Spec.LatencySensitive {
+				penalty += static
+			}
+		}
+	}
+	return 1 / (1 + penalty)
+}
+
+// newScanInterferencePipeline is NewInterferencePipeline with the scan
+// scorer in place of InterferenceAware.
+func newScanInterferencePipeline() *schedshard.Pipeline {
+	return schedshard.NewPipeline().
+		AddFilter(schedshard.FitsPCPUs{}).
+		AddFilter(schedshard.HealthyHost{}).
+		AddFilter(schedshard.MemBWFit{}).
+		AddScorer(scanInterference{}, 1).
+		AddScorer(schedshard.ResoHeadroom{}, 0.3).
+		AddScorer(schedshard.SpreadByCPU{}, 0.5)
 }
 
 // benchShardJSON is the BENCH_shardsched.json schema; cmd/benchgate -kind
 // shardsched reads it.
 type benchShardJSON struct {
-	Benchmark  string         `json:"benchmark"`
-	Hosts      int            `json:"hosts"`
-	VMs        int            `json:"vms"`
-	Placements int            `json:"placements"`
-	Baseline   benchShardSide `json:"baseline"`
-	Current    benchShardSide `json:"current"`
-	Speedup    float64        `json:"speedup"`
+	Benchmark  string          `json:"benchmark"`
+	Hosts      int             `json:"hosts"`
+	VMs        int             `json:"vms"`
+	Placements int             `json:"placements"`
+	Baseline   benchShardSide  `json:"baseline"`
+	Current    benchShardSide  `json:"current"`
+	Speedup    float64         `json:"speedup"`
+	Dense      benchShardDense `json:"dense"`
+}
+
+// benchShardDense records the dense-fleet digest-vs-scan comparison.
+type benchShardDense struct {
+	Hosts            int            `json:"hosts"`
+	ResidentsPerHost int            `json:"residents_per_host"`
+	Placements       int            `json:"placements"`
+	Scan             benchShardSide `json:"scan"`
+	Digest           benchShardSide `json:"digest"`
+	Speedup          float64        `json:"speedup"`
 }
 
 type benchShardSide struct {
@@ -219,8 +304,8 @@ func BenchmarkShardSched(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		arrivals := shardBenchArrivals(7)
 		lElapsed, lMallocs, lPlaced := measureShardBaseline(arrivals)
-		cElapsed, cMallocs, cPlaced := measureShardCurrent(arrivals)
-		if lPlaced != len(arrivals) || cPlaced != len(arrivals) {
+		cElapsed, cMallocs, cur := measureShardRounds(arrivals, shardBenchFleet(), nil)
+		if cPlaced := len(cur.Bound()); lPlaced != len(arrivals) || cPlaced != len(arrivals) {
 			b.Fatalf("placed baseline=%d current=%d, want %d", lPlaced, cPlaced, len(arrivals))
 		}
 		side := func(name string, d time.Duration, mallocs uint64) benchShardSide {
@@ -239,8 +324,26 @@ func BenchmarkShardSched(b *testing.B) {
 			Current:    side("snapshot-store+1shard", cElapsed, cMallocs),
 		}
 		out.Speedup = out.Baseline.NsPerPlacement / out.Current.NsPerPlacement
+
+		sElapsed, sMallocs, scan := measureShardRounds(arrivals, shardBenchDenseFleet(), newScanInterferencePipeline)
+		dElapsed, dMallocs, digest := measureShardRounds(arrivals, shardBenchDenseFleet(), nil)
+		if len(scan.Bound()) != len(arrivals) || len(digest.Bound()) != len(arrivals) {
+			b.Fatalf("dense placed scan=%d digest=%d, want %d", len(scan.Bound()), len(digest.Bound()), len(arrivals))
+		}
+		if scan.BindFNV() != digest.BindFNV() {
+			b.Fatalf("dense binds differ: scan %016x, digest %016x", scan.BindFNV(), digest.BindFNV())
+		}
+		out.Dense = benchShardDense{
+			Hosts:            shardBenchHosts,
+			ResidentsPerHost: shardDenseResidents,
+			Placements:       len(arrivals),
+			Scan:             side("scan-scorer+1shard", sElapsed, sMallocs),
+			Digest:           side("digest-scorer+1shard", dElapsed, dMallocs),
+		}
+		out.Dense.Speedup = out.Dense.Scan.NsPerPlacement / out.Dense.Digest.NsPerPlacement
 	}
 	b.ReportMetric(out.Speedup, "placement_speedup")
+	b.ReportMetric(out.Dense.Speedup, "dense_speedup")
 	b.ReportMetric(out.Current.AllocsPerPlacement, "allocs/placement")
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

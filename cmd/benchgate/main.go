@@ -14,7 +14,9 @@
 //     the snapshot-store scheduler's speedup over the rebuild-the-world
 //     baseline drops below the floor, or the per-placement allocation
 //     count exceeds the copy-on-write budget (the hot path itself is
-//     zero-alloc; commits clone only the hosts they touch).
+//     zero-alloc; commits clone only the hosts they touch), or the
+//     dense-fleet digest scorer's speedup over the per-resident scan
+//     scorer drops below its floor.
 //
 //   - -kind simpar: the sharded-simulation contract in BENCH_simpar.json
 //     (written by BenchmarkSimPar). The fingerprint match — serial and
@@ -67,6 +69,13 @@ const maxAllocsPerEvent = 0.001
 // rebuild (which lands at 1x by construction).
 const minShardSpeedup = 3.0
 
+// minDenseSpeedup is the dense-fleet interference-scoring floor: on 2k
+// hosts with 25 residents each, the digest-backed InterferenceAware over a
+// replica of the per-resident scan scorer. Measured 5.2–7.0x; 2.5x leaves
+// a wide budget while still catching a scorer that scans residents again
+// (which lands at 1x by construction).
+const minDenseSpeedup = 2.5
+
 // maxAllocsPerPlacement budgets the copy-on-write commit path: a commit
 // clones each touched host once per round and the requeue/merge buffers
 // amortize to near zero, so steady state measures ~2 allocs/placement. The
@@ -117,13 +126,23 @@ type shardSide struct {
 }
 
 type shardReport struct {
-	Benchmark  string    `json:"benchmark"`
-	Hosts      int       `json:"hosts"`
-	VMs        int       `json:"vms"`
-	Placements int       `json:"placements"`
-	Baseline   shardSide `json:"baseline"`
-	Current    shardSide `json:"current"`
-	Speedup    float64   `json:"speedup"`
+	Benchmark  string     `json:"benchmark"`
+	Hosts      int        `json:"hosts"`
+	VMs        int        `json:"vms"`
+	Placements int        `json:"placements"`
+	Baseline   shardSide  `json:"baseline"`
+	Current    shardSide  `json:"current"`
+	Speedup    float64    `json:"speedup"`
+	Dense      shardDense `json:"dense"`
+}
+
+type shardDense struct {
+	Hosts            int       `json:"hosts"`
+	ResidentsPerHost int       `json:"residents_per_host"`
+	Placements       int       `json:"placements"`
+	Scan             shardSide `json:"scan"`
+	Digest           shardSide `json:"digest"`
+	Speedup          float64   `json:"speedup"`
 }
 
 type simParReport struct {
@@ -284,7 +303,8 @@ func gateShardSched(file string) {
 		fmt.Fprintf(os.Stderr, "benchgate: %s: %v\n", file, err)
 		os.Exit(1)
 	}
-	if r.Placements <= 0 || r.Current.NsPerPlacement <= 0 || r.Baseline.NsPerPlacement <= 0 {
+	if r.Placements <= 0 || r.Current.NsPerPlacement <= 0 || r.Baseline.NsPerPlacement <= 0 ||
+		r.Dense.Placements <= 0 || r.Dense.Scan.NsPerPlacement <= 0 || r.Dense.Digest.NsPerPlacement <= 0 {
 		fmt.Fprintf(os.Stderr, "benchgate: %s: incomplete report\n", file)
 		os.Exit(1)
 	}
@@ -300,9 +320,16 @@ func gateShardSched(file string) {
 			r.Speedup, r.Baseline.Scheduler, minShardSpeedup)
 		fail = true
 	}
+	if r.Dense.Speedup < minDenseSpeedup {
+		fmt.Fprintf(os.Stderr, "benchgate: FAIL: dense fleet %.2fx over %s, floor is %.1fx\n",
+			r.Dense.Speedup, r.Dense.Scan.Scheduler, minDenseSpeedup)
+		fail = true
+	}
 	if fail {
 		os.Exit(1)
 	}
 	fmt.Printf("benchgate: ok: %d hosts, %.1f µs/placement, %.2fx over %s, %.2f allocs/placement\n",
 		r.Hosts, r.Current.NsPerPlacement/1e3, r.Speedup, r.Baseline.Scheduler, r.Current.AllocsPerPlacement)
+	fmt.Printf("benchgate: ok: dense %d hosts x %d residents, %.1f µs/placement, %.2fx over %s\n",
+		r.Dense.Hosts, r.Dense.ResidentsPerHost, r.Dense.Digest.NsPerPlacement/1e3, r.Dense.Speedup, r.Dense.Scan.Scheduler)
 }

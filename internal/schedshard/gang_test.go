@@ -194,7 +194,8 @@ func TestGangLargerThanFleetFailsWhole(t *testing.T) {
 // nodes, quarantined hosts, membw-declaring members — and checks the
 // store's gang contract on every input: each gang's committed-member count
 // is exactly 0 or its declared GangSize, every bind comes back exactly once,
-// and the installed snapshot's per-host accounting stays consistent.
+// and the installed snapshot's per-host accounting stays consistent — its
+// interference digests included, each equal to a rescan of the residents.
 func FuzzGangCommit(f *testing.F) {
 	f.Add([]byte{3, 2, 0x03, 1, 0, 0x05, 2, 1})                // two small gangs
 	f.Add([]byte{1, 1, 0x07, 0, 0, 0x02, 9, 0})                // tight host, big gang, stray singleton
@@ -224,6 +225,13 @@ func FuzzGangCommit(f *testing.F) {
 			b0, b1, b2 := data[i], data[i+1], data[i+2]
 			node := func(m byte) int { return 1 + int(b1+m)%(nHosts+1) } // may be absent
 			vm := gangVM(float64(b2)*1e6, float64(b2&0x0f)*10e6)
+			if b2&0x10 != 0 { // a bulk sender: feeds the hosts' interference digests
+				vm.Spec.LatencySensitive = false
+				vm.Spec.BufferSize, vm.BufferSize = 2<<20, 2<<20
+			}
+			if b2&0x20 != 0 { // inferred buffer above the declared one
+				vm.BufferSize = 1 << 20
+			}
 			if b0&1 == 0 {
 				key++
 				binds = append(binds, Bind{Key: key, Node: node(0), VM: vm})
@@ -274,6 +282,16 @@ func FuzzGangCommit(f *testing.F) {
 			}
 			if h.MemBWBytesPerSec == 0 && h.MemBWCommitted != 0 {
 				t.Fatalf("node %d committed membw without capacity", h.Node)
+			}
+			if !h.digestSealed() {
+				t.Fatalf("node %d interference digest not sealed to its VMs", h.Node)
+			}
+			var rescan interferenceDigest
+			for i := range h.VMs {
+				rescan.add(&h.VMs[i], h.LinkBytesPerSec)
+			}
+			if h.intf.bulkPenalty != rescan.bulkPenalty || h.intf.lsResidents != rescan.lsResidents {
+				t.Fatalf("node %d digest %+v != rescan %+v", h.Node, h.intf, rescan)
 			}
 			resident += len(h.VMs)
 		}

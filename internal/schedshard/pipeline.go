@@ -241,6 +241,12 @@ func (ResoHeadroom) Score(h *HostInfo, _ Spec) float64 {
 // arriving large-buffer VMs are recognized by their spec. Scores decay
 // smoothly with pressure so two interferers on one host is judged worse
 // than one, but any interferer-free host beats every contaminated one.
+//
+// With default parameters the score is O(1) per host: it reads the host's
+// interference digest, which the Store keeps sealed to the resident list
+// and which is bit-identical to the scan. Hosts whose digest is not sealed
+// (views built outside the Store) and non-default parameters fall back to
+// scanning the residents.
 type InterferenceAware struct {
 	// LargeBuffer is the buffer size from which a VM counts as a bulk
 	// interferer. Default 256 KB (between the paper's harmless 64 KB and
@@ -258,18 +264,35 @@ func (ia InterferenceAware) Name() string { return "interference-aware" }
 func (ia InterferenceAware) Score(h *HostInfo, s Spec) float64 {
 	large := ia.LargeBuffer
 	if large <= 0 {
-		large = 256 << 10
+		large = defaultLargeBuffer
 	}
 	static := ia.StaticPenalty
 	if static <= 0 {
-		static = 1
+		static = defaultStaticPenalty
 	}
+	if large == defaultLargeBuffer && static == defaultStaticPenalty && h.digestSealed() {
+		penalty := 0.0
+		if s.LatencySensitive {
+			penalty = h.intf.bulkPenalty
+		} else if s.BufferSize >= large {
+			// The scan adds static (1) once per latency-sensitive resident,
+			// an exact integer sum.
+			penalty = float64(h.intf.lsResidents)
+		}
+		return 1 / (1 + penalty)
+	}
+	return 1 / (1 + interferenceScan(h, s, large, static))
+}
+
+// interferenceScan is InterferenceAware's per-resident penalty scan.
+func interferenceScan(h *HostInfo, s Spec, large int, static float64) float64 {
 	penalty := 0.0
 	if s.LatencySensitive {
 		// Placing a latency-sensitive VM: every resident bulk sender hurts,
 		// proportionally to its profiled wire pressure (MTUs/s × buffer,
 		// i.e. bytes/s) relative to the uplink.
-		for _, vm := range h.VMs {
+		for i := range h.VMs {
+			vm := &h.VMs[i]
 			if vm.EffectiveBuffer() >= large {
 				penalty += static
 				if h.LinkBytesPerSec > 0 {
@@ -279,13 +302,13 @@ func (ia InterferenceAware) Score(h *HostInfo, s Spec) float64 {
 		}
 	} else if s.BufferSize >= large {
 		// Placing a bulk VM: penalize hosts running latency-sensitive VMs.
-		for _, vm := range h.VMs {
-			if vm.Spec.LatencySensitive {
+		for i := range h.VMs {
+			if h.VMs[i].Spec.LatencySensitive {
 				penalty += static
 			}
 		}
 	}
-	return 1 / (1 + penalty)
+	return penalty
 }
 
 // RateWeightedHeadroom is the exchange-priced headroom scorer: free

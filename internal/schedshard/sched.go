@@ -90,13 +90,25 @@ type RoundStats struct {
 // touched by exactly one goroutine per round; the barrier between the
 // propose phase and the merge phase is the only synchronization.
 type lane struct {
-	pipe    *Pipeline
-	view    []HostInfo  // snapshot copy the shard claims against
-	ptrs    []*HostInfo // pointers into view, what the pipeline scores
-	work    []Pending   // this round's partition slice (reused)
-	props   []Bind      // this round's proposals (reused)
-	starved []Pending   // this round's infeasible requests (reused)
+	pipe *Pipeline
+	// ptrs is what the pipeline scores: the snapshot's host pointers, with
+	// each host the shard has claimed on swapped for its private clone in
+	// scratch (copy-on-claim). scratch is preallocated to one clone per
+	// request, so appends never move a clone ptrs points at.
+	ptrs    []*HostInfo
+	scratch []HostInfo
+	claims  []claim   // the current group's claims, for unwinding (reused)
+	work    []Pending // this round's partition slice (reused)
+	props   []Bind    // this round's proposals (reused)
+	starved []Pending // this round's infeasible requests (reused)
 	stats   ShardCounters
+}
+
+// claim is one lane-local headroom claim with the exact prior values, so a
+// starved gang unwinds with no float residue.
+type claim struct {
+	idx, free int
+	io, mem   float64
 }
 
 // Scheduler runs the optimistic multi-shard placement loop against a
@@ -221,12 +233,12 @@ func (p *Pending) partitionKey() uint64 {
 //  1. snapshot: every shard gets the same immutable store view;
 //  2. partition: pending requests split across shards by the seeded hash,
 //     each shard's slice in ascending key order;
-//  3. propose (concurrent, ≤ Workers goroutines): each shard copies the
-//     snapshot's host values into its private view, then for each of its
-//     requests runs the pipeline and claims the winner locally (FreePCPUs,
-//     IOCommitted) so its own later picks see its earlier ones. Shards do
-//     not see each other's claims — that blindness is what optimistic
-//     concurrency trades for lock-freedom;
+//  3. propose (concurrent, ≤ Workers goroutines): each shard scores the
+//     snapshot's hosts directly; for each of its requests it runs the
+//     pipeline and claims the winner locally (FreePCPUs, IOCommitted) on a
+//     private clone made at the host's first claim, so its own later picks
+//     see its earlier ones. Shards do not see each other's claims — that
+//     blindness is what optimistic concurrency trades for lock-freedom;
 //  4. merge + commit (single goroutine): all proposals ordered by
 //     ascending key — the canonical merge order, independent of shard and
 //     goroutine timing — and applied through Store.CommitRound. Binds that
@@ -372,44 +384,43 @@ func (s *Scheduler) propose(snap *Snapshot) {
 	wg.Wait()
 }
 
-// runLane executes one shard's propose step: refresh the private view from
-// the snapshot, then pick-and-claim each request in key order.
+// runLane executes one shard's propose step: point the private view at the
+// snapshot, then pick-and-claim each request in key order, cloning a host
+// into the lane's scratch on its first claim.
 func (s *Scheduler) runLane(ln *lane, shardIdx int, snap *Snapshot) {
 	if len(ln.work) == 0 {
 		return
 	}
-	if cap(ln.view) < len(snap.Hosts) {
-		ln.view = make([]HostInfo, len(snap.Hosts))
-		ln.ptrs = make([]*HostInfo, len(snap.Hosts))
+	ln.ptrs = append(ln.ptrs[:0], snap.Hosts...)
+	if cap(ln.scratch) < len(ln.work) {
+		ln.scratch = make([]HostInfo, 0, len(ln.work))
 	}
-	ln.view = ln.view[:len(snap.Hosts)]
-	ln.ptrs = ln.ptrs[:len(snap.Hosts)]
-	for i, h := range snap.Hosts {
-		ln.view[i] = *h // VMs slice aliases the snapshot's: read-only by contract
-		ln.ptrs[i] = &ln.view[i]
-	}
+	ln.scratch = ln.scratch[:0]
 	off := 0
 	if s.cfg.AvoidConflicts && s.cfg.Shards > 1 {
-		off = shardIdx * len(ln.view) / s.cfg.Shards
+		off = shardIdx * len(ln.ptrs) / s.cfg.Shards
 	}
-	// claim adjusts the lane's private headroom so this shard's later picks
+	// apply adjusts the lane's private headroom so this shard's later picks
 	// see its earlier ones. The claim touches FreePCPUs, IOCommitted and
 	// MemBWCommitted but never the resident-VM list — same-round
 	// interference between a shard's own proposals becomes visible only
-	// after commit, like every other shard's. Never mutate h.VMs: it
-	// aliases the shared snapshot. The recorded exact prior values let a
-	// failed gang unwind with no float residue.
-	type claim struct {
-		idx, free int
-		io, mem   float64
-	}
-	apply := func(p Pending) (claim, bool) {
+	// after commit, like every other shard's. Snapshot hosts are never
+	// written: the first claim on a host swaps in a scratch clone, whose
+	// VMs still alias the snapshot's (read-only) and whose interference
+	// digest stays sealed to them.
+	apply := func(p *Pending) bool {
 		idx := ln.pipe.Pick(ln.ptrs, p.Spec, off)
 		if idx < 0 {
-			return claim{}, false
+			return false
 		}
-		h := &ln.view[idx]
-		c := claim{idx: idx, free: h.FreePCPUs, io: h.IOCommitted, mem: h.MemBWCommitted}
+		h := ln.ptrs[idx]
+		if h == snap.Hosts[idx] {
+			ln.scratch = append(ln.scratch, *h)
+			h = &ln.scratch[len(ln.scratch)-1]
+			ln.ptrs[idx] = h
+		}
+		ln.claims = append(ln.claims, claim{idx: idx, free: h.FreePCPUs,
+			io: h.IOCommitted, mem: h.MemBWCommitted})
 		h.FreePCPUs--
 		if h.LinkBytesPerSec > 0 {
 			h.IOCommitted += p.VM.BytesPerSec / h.LinkBytesPerSec
@@ -420,11 +431,10 @@ func (s *Scheduler) runLane(ln *lane, shardIdx int, snap *Snapshot) {
 		ln.stats.Proposed++
 		ln.props = append(ln.props, Bind{Key: p.Key, Node: h.Node, VM: p.VM,
 			Gang: p.Gang, GangSize: p.GangSize})
-		return c, true
+		return true
 	}
 	// Gang members are contiguous in work (consecutive keys, key-sorted
 	// partition slices); each group is proposed all-or-nothing.
-	var claims []claim
 	for i := 0; i < len(ln.work); {
 		j := i + 1
 		if g := ln.work[i].Gang; g != 0 {
@@ -435,31 +445,30 @@ func (s *Scheduler) runLane(ln *lane, shardIdx int, snap *Snapshot) {
 		group := ln.work[i:j]
 		i = j
 
-		claims = claims[:0]
+		ln.claims = ln.claims[:0]
 		propMark := len(ln.props)
 		ok := true
-		for _, p := range group {
-			c, placed := apply(p)
-			if !placed {
+		for k := range group {
+			if !apply(&group[k]) {
 				ok = false
 				break
 			}
-			claims = append(claims, c)
 		}
 		if ok {
 			continue
 		}
 		// Unwind the group's claims in reverse (later claims may touch the
 		// same host) and starve the whole group: a gang with no feasible
-		// placement for every member proposes nothing this round.
-		for k := len(claims) - 1; k >= 0; k-- {
-			c := claims[k]
-			h := &ln.view[c.idx]
+		// placement for every member proposes nothing this round. The
+		// clones stay in ptrs, restored to their pre-claim values.
+		for k := len(ln.claims) - 1; k >= 0; k-- {
+			c := ln.claims[k]
+			h := ln.ptrs[c.idx]
 			h.FreePCPUs = c.free
 			h.IOCommitted = c.io
 			h.MemBWCommitted = c.mem
 		}
-		ln.stats.Proposed -= uint64(len(claims))
+		ln.stats.Proposed -= uint64(len(ln.claims))
 		ln.props = ln.props[:propMark]
 		ln.stats.Starved += uint64(len(group))
 		ln.starved = append(ln.starved, group...)

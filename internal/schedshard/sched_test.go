@@ -1,6 +1,7 @@
 package schedshard
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -90,10 +91,66 @@ func schedScenario(shards, workers int, avoid bool) *Scheduler {
 	return s
 }
 
+// denseHosts builds a fleet-scale dense fleet: n hosts with 31 PCPUs and
+// `resident` VMs each, every fourth host holding bulk senders and the rest
+// latency-sensitive VMs, so every interference score has residents to
+// account for.
+func denseHosts(n, resident int) []*HostInfo {
+	hosts := make([]*HostInfo, n)
+	for i := range hosts {
+		h := &HostInfo{Node: i + 1, TotalPCPUs: 31, FreePCPUs: 31 - resident,
+			LinkBytesPerSec: 1e9, ResoHeadroom: 1, VMs: make([]VMInfo, 0, resident)}
+		for j := 0; j < resident; j++ {
+			vm := lsVM(fmt.Sprintf("r%d-%d", i, j), 2e6)
+			if i%4 == 0 {
+				spec := Spec{Name: vm.Spec.Name, BufferSize: 2 << 20}
+				vm = VMInfo{Spec: spec, BytesPerSec: 30e6, BufferSize: 2 << 20}
+			}
+			h.VMs = append(h.VMs, vm)
+			h.IOCommitted += vm.BytesPerSec / h.LinkBytesPerSec
+		}
+		hosts[i] = h
+	}
+	return hosts
+}
+
+// denseScenario places waves of mixed singletons and scale-sets into a
+// 2000-host, 25-resident fleet on 8 shards.
+func denseScenario(workers int) *Scheduler {
+	store := NewStore()
+	store.Publish(denseHosts(2000, 25))
+	s := NewScheduler(store, Config{Shards: 8, Workers: workers, Seed: 11, AvoidConflicts: true})
+	for w := 0; w < 8; w++ {
+		for i := 0; i < 60; i++ {
+			name := fmt.Sprintf("w%d-%d", w, i)
+			if i%4 == 3 {
+				spec := Spec{Name: name, BufferSize: 2 << 20}
+				s.Enqueue(spec, VMInfo{Spec: spec, BytesPerSec: 30e6, BufferSize: 2 << 20})
+			} else {
+				s.Enqueue(Spec{Name: name, LatencySensitive: true, BufferSize: 64 << 10}, lsVM(name, 2e6))
+			}
+		}
+		s.EnqueueGang(Spec{Name: fmt.Sprintf("set%d", w), LatencySensitive: true, BufferSize: 64 << 10},
+			lsVM("set", 2e6), 4+w)
+		s.Run()
+	}
+	return s
+}
+
 // TestWorkerCountInvariance: Workers is a wall-clock knob only — at any
 // width the bind sequence, every counter and the per-shard accounting are
-// identical.
+// identical, on the small packed fleet and on a dense fleet-scale one.
 func TestWorkerCountInvariance(t *testing.T) {
+	dense := denseScenario(1)
+	if len(dense.Bound()) == 0 || len(dense.Failed()) != 0 {
+		t.Fatalf("dense scenario bound %d, failed %d", len(dense.Bound()), len(dense.Failed()))
+	}
+	for _, workers := range []int{2, 8} {
+		if got := denseScenario(workers).BindFNV(); got != dense.BindFNV() {
+			t.Errorf("dense workers=%d: BindFNV %016x, want %016x", workers, got, dense.BindFNV())
+		}
+	}
+
 	ref := schedScenario(8, 1, false)
 	for _, workers := range []int{2, 4, 8} {
 		got := schedScenario(8, workers, false)
@@ -188,5 +245,37 @@ func TestShardPartitionStable(t *testing.T) {
 	}
 	if same {
 		t.Error("partition identical under different seeds")
+	}
+}
+
+// TestRoundNeverWritesSnapshot: lanes claim against private clones, so a
+// round — including a starved gang whose claims unwind — leaves every value
+// reachable from the snapshot it read exactly as it was.
+func TestRoundNeverWritesSnapshot(t *testing.T) {
+	store := NewStore()
+	store.Publish(denseHosts(16, 28)) // 3 free PCPUs per host, 48 in all
+	s := NewScheduler(store, Config{Shards: 4, Workers: 2, Seed: 5, AvoidConflicts: true})
+	for i := 0; i < 12; i++ {
+		name := fmt.Sprintf("ls%d", i)
+		s.Enqueue(Spec{Name: name, LatencySensitive: true, BufferSize: 64 << 10}, lsVM(name, 2e6))
+	}
+	// Larger than the fleet's free PCPUs: its lane claims until the fleet
+	// runs dry, then unwinds and starves it.
+	s.EnqueueGang(Spec{Name: "huge", LatencySensitive: true, BufferSize: 64 << 10}, lsVM("huge", 2e6), 49)
+
+	snap := store.Snapshot()
+	before := make([]HostInfo, len(snap.Hosts))
+	for i, h := range snap.Hosts {
+		before[i] = *h
+		before[i].VMs = append([]VMInfo(nil), h.VMs...)
+	}
+	rs := s.Round()
+	if rs.Starved != 49 || rs.Committed == 0 {
+		t.Fatalf("round %+v, want the 49-member gang starved and singletons committed", rs)
+	}
+	for i, h := range snap.Hosts {
+		if !reflect.DeepEqual(*h, before[i]) {
+			t.Fatalf("round wrote to published snapshot host %d:\n got %+v\nwant %+v", h.Node, *h, before[i])
+		}
 	}
 }

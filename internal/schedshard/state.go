@@ -72,7 +72,9 @@ type VMInfo struct {
 }
 
 // EffectiveBuffer returns the larger of declared and inferred buffer size.
-func (v VMInfo) EffectiveBuffer() int {
+// It takes a pointer so the per-VM scan paths can ask without copying the
+// VMInfo.
+func (v *VMInfo) EffectiveBuffer() int {
 	if v.BufferSize > v.Spec.BufferSize {
 		return v.BufferSize
 	}
@@ -139,6 +141,92 @@ type HostInfo struct {
 	// fleets on non-exchange policies score exactly as before.
 	Prices [exchange.NumDims]float64
 	VMs    []VMInfo
+
+	// intf caches what InterferenceAware's default scan would compute over
+	// VMs. It is valid only while its seal matches (see digestSealed).
+	intf interferenceDigest
+}
+
+// Interference defaults shared by the InterferenceAware scorer and the
+// per-host digest: the buffer size from which a resident counts as a bulk
+// interferer (between the paper's harmless 64 KB and fatal 1–4 MB
+// classes), and the static penalty charged per risky colocation.
+const (
+	defaultLargeBuffer   = 256 << 10
+	defaultStaticPenalty = 1.0
+)
+
+// interferenceDigest is a host's resident-VM interference summary under
+// the default InterferenceAware parameters, so the scorer reads one field
+// per host instead of scanning every resident.
+//
+// bulkPenalty is the penalty a latency-sensitive placement pays, summed in
+// exactly the scan's float order — per bulk resident, in residence order,
+// += static then += bytes/link — so it is bit-identical to the scan.
+// lsResidents counts the latency-sensitive residents a bulk placement is
+// charged for.
+//
+// The seal is the VMs slice's data pointer and length plus the link
+// capacity the sum divided by. A caller that edits a host's VMs must give
+// it a fresh backing array (as every fleet in the tree does, since the
+// previous snapshot shares the old one), which breaks the seal; anything
+// whose seal does not match falls back to the scan. Because the seal holds
+// a real pointer, the sealed array stays reachable and its address cannot
+// be reused by another slice while the digest exists.
+type interferenceDigest struct {
+	vms  *VMInfo
+	n    int
+	link float64
+
+	bulkPenalty float64
+	lsResidents int
+}
+
+// vmsData is the seal's data pointer: nil for an empty slice (an empty
+// host's digest is zero whatever array it sits in).
+func vmsData(vms []VMInfo) *VMInfo {
+	if len(vms) == 0 {
+		return nil
+	}
+	return &vms[0]
+}
+
+// add folds one resident into the digest, in the scan's order.
+func (d *interferenceDigest) add(vm *VMInfo, link float64) {
+	if vm.EffectiveBuffer() >= defaultLargeBuffer {
+		d.bulkPenalty += defaultStaticPenalty
+		if link > 0 {
+			d.bulkPenalty += vm.BytesPerSec / link
+		}
+	}
+	if vm.Spec.LatencySensitive {
+		d.lsResidents++
+	}
+}
+
+// seal binds the digest to the host's current VMs slice and link capacity.
+// Call it only when the digest's values describe exactly h.VMs.
+func (d *interferenceDigest) seal(h *HostInfo) {
+	d.vms, d.n, d.link = vmsData(h.VMs), len(h.VMs), h.LinkBytesPerSec
+}
+
+// digestSealed reports whether the host's digest describes its VMs.
+func (h *HostInfo) digestSealed() bool {
+	d := &h.intf
+	return d.n == len(h.VMs) && d.link == h.LinkBytesPerSec && d.vms == vmsData(h.VMs)
+}
+
+// refreshDigest recomputes the digest from the residents unless its seal
+// already matches.
+func (h *HostInfo) refreshDigest() {
+	if h.digestSealed() {
+		return
+	}
+	h.intf = interferenceDigest{}
+	for i := range h.VMs {
+		h.intf.add(&h.VMs[i], h.LinkBytesPerSec)
+	}
+	h.intf.seal(h)
 }
 
 // PriceOf returns the host's quote for a dimension, flooring at the base
@@ -180,10 +268,10 @@ func (s *Snapshot) Host(node int) *HostInfo {
 // WithoutVM derives the what-if host list the rebalancer scores against: a
 // copy of the snapshot's hosts with one named VM elided from one node, as
 // if it were not running. The elided host is rebuilt exactly the way the
-// fleet builds a skip view — IOCommitted re-summed over the remaining VMs
-// in residence order, one PCPU vacated — so the result is bit-identical to
-// constructing the view with the VM skipped, not merely close after a
-// float subtraction.
+// fleet builds a skip view — IOCommitted and the interference digest
+// re-summed over the remaining VMs in residence order, one PCPU vacated —
+// so the result is bit-identical to constructing the view with the VM
+// skipped, not merely close after a float subtraction.
 func (s *Snapshot) WithoutVM(node int, name string) []*HostInfo {
 	hosts := make([]*HostInfo, len(s.Hosts))
 	copy(hosts, s.Hosts)
@@ -195,7 +283,9 @@ func (s *Snapshot) WithoutVM(node int, name string) []*HostInfo {
 		clone.VMs = make([]VMInfo, 0, len(h.VMs))
 		clone.IOCommitted = 0
 		clone.MemBWCommitted = 0
-		for _, vm := range h.VMs {
+		clone.intf = interferenceDigest{}
+		for j := range h.VMs {
+			vm := &h.VMs[j]
 			if vm.Spec.Name == name {
 				continue
 			}
@@ -205,8 +295,10 @@ func (s *Snapshot) WithoutVM(node int, name string) []*HostInfo {
 			if clone.MemBWBytesPerSec > 0 {
 				clone.MemBWCommitted += vm.MemBytesPerSec / clone.MemBWBytesPerSec
 			}
-			clone.VMs = append(clone.VMs, vm)
+			clone.intf.add(vm, clone.LinkBytesPerSec)
+			clone.VMs = append(clone.VMs, *vm)
 		}
+		clone.intf.seal(&clone)
 		if len(clone.VMs) < len(h.VMs) && clone.FreePCPUs < clone.TotalPCPUs {
 			clone.FreePCPUs++ // the elided VM would vacate its PCPU
 		}
@@ -249,6 +341,20 @@ type Store struct {
 	publishes uint64
 	commits   uint64
 	conflicts uint64
+
+	// CommitRound scratch, reused round over round: a gang's saved host
+	// states, and a per-host-index stamp marking the hosts the current gang
+	// has already saved (stamp[idx] == gen).
+	saves []savedHost
+	stamp []uint64
+	gen   uint64
+}
+
+// savedHost is one host's exact pre-gang state, for rollback.
+type savedHost struct {
+	idx, free, vms int
+	io, mem        float64
+	intf           interferenceDigest
 }
 
 // NewStore creates a store holding an empty version-0 snapshot; call
@@ -275,10 +381,15 @@ func (st *Store) Publishes() uint64 { return st.publishes }
 
 // Publish installs a full rebuilt view as the next snapshot version,
 // sorting hosts by Node (canonical order; stable for already-sorted
-// input). The store takes ownership of the slice and the HostInfo values.
+// input). The store takes ownership of the slice and the HostInfo values,
+// and digests every host whose interference digest is not sealed to its
+// VMs — hosts copied from an earlier snapshot with their VMs untouched
+// keep theirs, so a republish costs one seal check per host plus a rescan
+// of the hosts whose residents changed.
 func (st *Store) Publish(hosts []*HostInfo) *Snapshot {
-	for i := 1; i < len(hosts); i++ { // insertion sort: hosts arrive sorted
+	for i := range hosts { // insertion sort: hosts arrive sorted
 		h := hosts[i]
+		h.refreshDigest() // same pass: the host is in cache for its Node
 		j := i - 1
 		for j >= 0 && hosts[j].Node > h.Node {
 			hosts[j+1] = hosts[j]
@@ -327,28 +438,31 @@ func (st *Store) CommitRound(binds []Bind) (committed, conflicted []Bind) {
 	prev := st.snap
 	next := &Snapshot{Version: prev.Version + 1, Hosts: make([]*HostInfo, len(prev.Hosts))}
 	copy(next.Hosts, prev.Hosts)
-	cloned := make(map[int]int, len(binds)) // node -> index of its clone in next.Hosts
+	if len(st.stamp) < len(next.Hosts) {
+		st.stamp = make([]uint64, len(next.Hosts))
+	}
 
 	// cloneOf returns the index of a node's mutable clone (-1 if absent),
-	// cloning copy-on-write on first touch.
+	// cloning copy-on-write on first touch: a host still shared with prev
+	// has not been cloned this round.
 	cloneOf := func(node int) int {
-		idx, ok := cloned[node]
-		if !ok {
-			idx = hostIndex(next.Hosts, node)
-			if idx >= 0 {
-				clone := *next.Hosts[idx]
-				clone.VMs = append(make([]VMInfo, 0, len(clone.VMs)+1), clone.VMs...)
-				next.Hosts[idx] = &clone
-				cloned[node] = idx
+		idx := hostIndex(next.Hosts, node)
+		if idx >= 0 && next.Hosts[idx] == prev.Hosts[idx] {
+			src := next.Hosts[idx]
+			clone := *src
+			clone.VMs = append(make([]VMInfo, 0, len(src.VMs)+1), src.VMs...)
+			if src.digestSealed() {
+				clone.intf.seal(&clone) // same residents, new backing array
 			} else {
-				cloned[node] = idx
+				clone.refreshDigest()
 			}
+			next.Hosts[idx] = &clone
 		}
 		return idx
 	}
 	// apply validates one bind against the evolving view and claims its
 	// resources. It reports failure without mutating anything.
-	apply := func(b Bind) bool {
+	apply := func(b *Bind) bool {
 		idx := cloneOf(b.Node)
 		if idx < 0 {
 			return false
@@ -368,14 +482,11 @@ func (st *Store) CommitRound(binds []Bind) (committed, conflicted []Bind) {
 			h.MemBWCommitted += b.VM.MemBytesPerSec / h.MemBWBytesPerSec
 		}
 		h.VMs = append(h.VMs, b.VM)
+		h.intf.add(&h.VMs[len(h.VMs)-1], h.LinkBytesPerSec)
+		h.intf.seal(h)
 		return true
 	}
 
-	// savedHost is one host's exact pre-group state, for gang rollback.
-	type savedHost struct {
-		idx, free, vms int
-		io, mem        float64
-	}
 	for i := 0; i < len(binds); {
 		j := i + 1
 		if g := binds[i].Gang; g != 0 {
@@ -394,24 +505,24 @@ func (st *Store) CommitRound(binds []Bind) (committed, conflicted []Bind) {
 			conflicted = append(conflicted, group...)
 			continue
 		}
-		var saves []savedHost
+		saves := st.saves[:0]
 		if group[0].Gang != 0 {
-			seen := make(map[int]bool, len(group))
-			for _, b := range group {
-				if seen[b.Node] {
+			st.gen++
+			for k := range group {
+				idx := cloneOf(group[k].Node)
+				if idx < 0 || st.stamp[idx] == st.gen {
 					continue
 				}
-				seen[b.Node] = true
-				if idx := cloneOf(b.Node); idx >= 0 {
-					h := next.Hosts[idx]
-					saves = append(saves, savedHost{idx: idx, free: h.FreePCPUs,
-						vms: len(h.VMs), io: h.IOCommitted, mem: h.MemBWCommitted})
-				}
+				st.stamp[idx] = st.gen
+				h := next.Hosts[idx]
+				saves = append(saves, savedHost{idx: idx, free: h.FreePCPUs,
+					vms: len(h.VMs), io: h.IOCommitted, mem: h.MemBWCommitted, intf: h.intf})
 			}
 		}
+		st.saves = saves
 		applied := 0
-		for _, b := range group {
-			if !apply(b) {
+		for k := range group {
+			if !apply(&group[k]) {
 				break
 			}
 			applied++
@@ -423,13 +534,16 @@ func (st *Store) CommitRound(binds []Bind) (committed, conflicted []Bind) {
 		}
 		// Roll the gang's partial claims back to the exact saved states
 		// (singleton groups apply atomically, so applied is 0 here unless
-		// this is a gang).
+		// this is a gang). An append may have moved VMs to a new backing
+		// array holding the same prefix, so the saved digest is resealed.
 		for _, s := range saves {
 			h := next.Hosts[s.idx]
 			h.FreePCPUs = s.free
 			h.IOCommitted = s.io
 			h.MemBWCommitted = s.mem
 			h.VMs = h.VMs[:s.vms]
+			h.intf = s.intf
+			h.intf.seal(h)
 		}
 		st.conflicts += uint64(len(group))
 		conflicted = append(conflicted, group...)
