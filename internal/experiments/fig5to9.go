@@ -93,7 +93,7 @@ func runTimeline(o Options, figure int, mkPolicy func() resex.Policy) (*Timeline
 	o = o.WithDefaults()
 	o.Timeline = true
 
-	meanStd := func(cfg ScenarioConfig) (tlSide, error) {
+	meanStd := func(o Options, cfg ScenarioConfig) (tlSide, error) {
 		s, err := Build(cfg)
 		if err != nil {
 			return tlSide{}, err
@@ -104,10 +104,10 @@ func runTimeline(o Options, figure int, mkPolicy func() resex.Policy) (*Timeline
 	}
 	points := []SweepPoint[tlSide]{
 		Point("base", func(o Options) (tlSide, error) {
-			return meanStd(ScenarioConfig{Timeline: true, Seed: o.Seed})
+			return meanStd(o, ScenarioConfig{Timeline: true, Seed: o.Seed})
 		}),
 		Point("interfered", func(o Options) (tlSide, error) {
-			return meanStd(ScenarioConfig{Timeline: true, IntfBuffer: IntfBuffer, Seed: o.Seed})
+			return meanStd(o, ScenarioConfig{Timeline: true, IntfBuffer: IntfBuffer, Seed: o.Seed})
 		}),
 		Point("policy", func(o Options) (tlSide, error) {
 			// Policy run with observers.

@@ -80,6 +80,12 @@ type LinkStats struct {
 // Link is a unidirectional serializing channel: packets occupy the wire for
 // Bytes/Bandwidth seconds each, then arrive at the receiver after the
 // propagation delay. Queued packets wait according to the discipline.
+//
+// The steady-state hop allocates nothing. The wire holds at most one packet,
+// so it lives in a field and its serialization end fires a callback bound
+// once in NewLink. The propagation delay is fixed, so deliveries fire in the
+// order they were scheduled and can wait in one in-flight FIFO drained by a
+// second bound callback.
 type Link struct {
 	eng     *sim.Engine
 	name    string
@@ -88,15 +94,21 @@ type Link struct {
 	disc    Discipline
 	deliver func(*Packet)
 
-	busy    bool
-	fifo    []*Packet
-	flows   map[uint32]*flowQueue
-	ring    []*flowQueue // active flows, round-robin order
-	rrNext  int
-	queued  int
-	perFlow map[uint32]int64 // bytes per flow, for IOShare accounting
-	stats   LinkStats
-	wakeup  sim.Timer // pending retry for rate-limited flows
+	busy     bool
+	wire     *Packet    // the packet being serialized while busy
+	wireQ    *flowQueue // its flow, for byte accounting
+	inflight queue[*Packet]
+	fifo     queue[*Packet]
+	flows    map[uint32]*flowQueue
+	lastQ    *flowQueue   // flows entry of the last packet sent or dequeued
+	ring     []*flowQueue // active flows, round-robin order
+	rrNext   int
+	queued   int
+	stats    LinkStats
+	wakeup   sim.Timer // pending retry for rate-limited flows
+
+	// Callbacks bound once, so scheduling them allocates nothing.
+	txDoneFn, deliverFn, wakeFn func()
 
 	// Fault state (driven by the faults package).
 	degrade float64 // bandwidth multiplier in (0,1]; 0 means healthy (×1)
@@ -105,7 +117,8 @@ type Link struct {
 
 type flowQueue struct {
 	id     uint32
-	pkts   []*Packet
+	pkts   queue[*Packet]
+	bytes  int64    // bytes carried, for IOShare accounting
 	limit  float64  // bytes/second; 0 = unlimited
 	nextAt sim.Time // earliest time the next packet may start (pacing)
 }
@@ -120,7 +133,7 @@ func NewLink(eng *sim.Engine, name string, bandwidth float64, prop sim.Time, dis
 	if deliver == nil {
 		panic("fabric: link needs a deliver function")
 	}
-	return &Link{
+	l := &Link{
 		eng:     eng,
 		name:    name,
 		bps:     bandwidth,
@@ -128,8 +141,11 @@ func NewLink(eng *sim.Engine, name string, bandwidth float64, prop sim.Time, dis
 		disc:    disc,
 		deliver: deliver,
 		flows:   make(map[uint32]*flowQueue),
-		perFlow: make(map[uint32]int64),
 	}
+	l.txDoneFn = l.txDone
+	l.deliverFn = l.deliverHead
+	l.wakeFn = l.wake
+	return l
 }
 
 // Name returns the link's diagnostic name.
@@ -146,7 +162,12 @@ func (l *Link) Propagation() sim.Time { return l.prop }
 func (l *Link) Stats() LinkStats { return l.stats }
 
 // FlowBytes returns cumulative bytes carried for a flow.
-func (l *Link) FlowBytes(flow uint32) int64 { return l.perFlow[flow] }
+func (l *Link) FlowBytes(flow uint32) int64 {
+	if q, ok := l.flows[flow]; ok {
+		return q.bytes
+	}
+	return 0
+}
 
 // Queued returns the number of packets waiting or in flight on the wire.
 func (l *Link) Queued() int { return l.queued }
@@ -198,11 +219,7 @@ func (l *Link) Down() bool { return l.down }
 // hardware support; the rate-limit ablation benchmark compares it against
 // ResEx's CPU-cap mechanism. Only meaningful with RoundRobin discipline.
 func (l *Link) SetFlowRateLimit(flow uint32, bytesPerSec float64) {
-	q, ok := l.flows[flow]
-	if !ok {
-		q = &flowQueue{id: flow}
-		l.flows[flow] = q
-	}
+	q := l.flow(flow)
 	if bytesPerSec < 0 {
 		bytesPerSec = 0
 	}
@@ -223,6 +240,21 @@ func (l *Link) FlowRateLimit(flow uint32) float64 {
 	return 0
 }
 
+// flow returns the flow's queue, creating it on first use. Senders burst one
+// flow at a time, so the last queue looked up is checked before the map.
+func (l *Link) flow(id uint32) *flowQueue {
+	if q := l.lastQ; q != nil && q.id == id {
+		return q
+	}
+	q, ok := l.flows[id]
+	if !ok {
+		q = &flowQueue{id: id}
+		l.flows[id] = q
+	}
+	l.lastQ = q
+	return q
+}
+
 // Send enqueues a packet for transmission.
 func (l *Link) Send(pkt *Packet) {
 	if pkt.Sent == 0 {
@@ -234,17 +266,13 @@ func (l *Link) Send(pkt *Packet) {
 	}
 	switch l.disc {
 	case FIFO:
-		l.fifo = append(l.fifo, pkt)
+		l.fifo.push(pkt)
 	default:
-		q, ok := l.flows[pkt.Flow]
-		if !ok {
-			q = &flowQueue{id: pkt.Flow}
-			l.flows[pkt.Flow] = q
-		}
-		if len(q.pkts) == 0 {
+		q := l.flow(pkt.Flow)
+		if q.pkts.len() == 0 {
 			l.ring = append(l.ring, q)
 		}
-		q.pkts = append(q.pkts, pkt)
+		q.pkts.push(pkt)
 	}
 	if !l.busy {
 		l.transmitNext()
@@ -252,15 +280,16 @@ func (l *Link) Send(pkt *Packet) {
 }
 
 // next pops the next packet according to the discipline, honoring per-flow
-// pacing. It returns nil when nothing is eligible right now.
+// pacing, and records its flow in wireQ. It returns nil when nothing is
+// eligible right now.
 func (l *Link) next() *Packet {
 	switch l.disc {
 	case FIFO:
-		if len(l.fifo) == 0 {
+		if l.fifo.len() == 0 {
 			return nil
 		}
-		pkt := l.fifo[0]
-		l.fifo = l.fifo[1:]
+		pkt := l.fifo.pop()
+		l.wireQ = l.flow(pkt.Flow)
 		return pkt
 	default:
 		now := l.eng.Now()
@@ -273,8 +302,7 @@ func (l *Link) next() *Packet {
 				l.rrNext++ // paced out: try the next flow
 				continue
 			}
-			pkt := q.pkts[0]
-			q.pkts = q.pkts[1:]
+			pkt := q.pkts.pop()
 			if q.limit > 0 {
 				start := now
 				if q.nextAt > start {
@@ -282,12 +310,13 @@ func (l *Link) next() *Packet {
 				}
 				q.nextAt = start + sim.DurationOfBytes(int64(pkt.Bytes), q.limit)
 			}
-			if len(q.pkts) == 0 {
+			if q.pkts.len() == 0 {
 				l.ring = append(l.ring[:l.rrNext], l.ring[l.rrNext+1:]...)
 				// rrNext now points at the flow after the removed one.
 			} else {
 				l.rrNext++
 			}
+			l.wireQ = q
 			return pkt
 		}
 		return nil // every queued flow is paced out
@@ -299,7 +328,7 @@ func (l *Link) next() *Packet {
 func (l *Link) armWakeup() {
 	var at sim.Time = -1
 	for _, q := range l.ring {
-		if len(q.pkts) > 0 && q.limit > 0 && (at < 0 || q.nextAt < at) {
+		if q.pkts.len() > 0 && q.limit > 0 && (at < 0 || q.nextAt < at) {
 			at = q.nextAt
 		}
 	}
@@ -307,11 +336,14 @@ func (l *Link) armWakeup() {
 		return
 	}
 	l.wakeup.Stop()
-	l.wakeup = l.eng.Schedule(at, func() {
-		if !l.busy {
-			l.transmitNext()
-		}
-	})
+	l.wakeup = l.eng.Schedule(at, l.wakeFn)
+}
+
+// wake is the pacing retry armed by armWakeup.
+func (l *Link) wake() {
+	if !l.busy {
+		l.transmitNext()
+	}
 }
 
 // transmitNext serializes the next queued packet.
@@ -327,31 +359,59 @@ func (l *Link) transmitNext() {
 		return
 	}
 	l.busy = true
+	l.wire = pkt
 	ser := sim.DurationOfBytes(int64(pkt.Bytes), l.effectiveBps())
 	l.stats.BusyTime += ser
-	l.eng.After(ser, func() {
-		l.stats.Packets++
-		l.stats.Bytes += int64(pkt.Bytes)
-		l.perFlow[pkt.Flow] += int64(pkt.Bytes)
-		l.queued--
-		l.eng.After(l.prop, func() { l.deliver(pkt) })
-		l.transmitNext()
-	})
+	l.eng.After(ser, l.txDoneFn)
+}
+
+// txDone fires when the wire packet has been serialized: account for it,
+// start its propagation and put the next packet on the wire.
+func (l *Link) txDone() {
+	pkt := l.wire
+	l.wire = nil
+	l.stats.Packets++
+	l.stats.Bytes += int64(pkt.Bytes)
+	l.wireQ.bytes += int64(pkt.Bytes)
+	l.queued--
+	l.inflight.push(pkt)
+	l.eng.After(l.prop, l.deliverFn)
+	l.transmitNext()
+}
+
+// deliverHead hands the oldest in-flight packet to the receiver. Every
+// packet propagates for the same fixed delay, so the event firing now is the
+// one scheduled for the FIFO's head.
+func (l *Link) deliverHead() {
+	l.deliver(l.inflight.pop())
 }
 
 // Switch is an output-queued crossbar: packets injected from host uplinks
 // are forwarded, after a fixed forwarding latency, onto the egress link of
-// their destination node.
+// their destination node. The latency is the same for every packet, so
+// forwards fire in injection order: they wait in one FIFO drained by a
+// callback bound once in NewSwitch, and a hop allocates nothing.
 type Switch struct {
-	eng      *sim.Engine
-	latency  sim.Time
-	ports    map[int]*Link
-	defRoute func(pkt *Packet)
+	eng       *sim.Engine
+	latency   sim.Time
+	ports     map[int]*Link
+	defRoute  func(pkt *Packet)
+	pending   queue[hop]
+	forwardFn func()
+}
+
+// hop is a packet waiting out the forwarding latency. A nil egress means
+// the default route.
+type hop struct {
+	pkt    *Packet
+	egress *Link
 }
 
 // NewSwitch creates a switch with the given forwarding latency.
 func NewSwitch(eng *sim.Engine, latency sim.Time) *Switch {
-	return &Switch{eng: eng, latency: latency, ports: make(map[int]*Link)}
+	s := &Switch{eng: eng, latency: latency, ports: make(map[int]*Link)}
+	s.forwardFn = s.forwardHead
+	return s
 }
 
 // Latency returns the fixed forwarding latency. Together with
@@ -381,12 +441,68 @@ func (s *Switch) SetDefaultRoute(f func(pkt *Packet)) { s.defRoute = f }
 // cluster is statically wired.
 func (s *Switch) Inject(pkt *Packet) {
 	egress, ok := s.ports[pkt.DstNode]
-	if !ok {
-		if s.defRoute != nil {
-			s.eng.After(s.latency, func() { s.defRoute(pkt) })
-			return
-		}
+	if !ok && s.defRoute == nil {
 		panic(fmt.Sprintf("fabric: packet for unattached node %d", pkt.DstNode))
 	}
-	s.eng.After(s.latency, func() { egress.Send(pkt) })
+	s.pending.push(hop{pkt: pkt, egress: egress})
+	s.eng.After(s.latency, s.forwardFn)
+}
+
+// forwardHead moves the oldest injected packet onto its egress.
+func (s *Switch) forwardHead() {
+	h := s.pending.pop()
+	if h.egress == nil {
+		s.defRoute(h.pkt)
+		return
+	}
+	h.egress.Send(h.pkt)
+}
+
+// queue is a growable FIFO over a power-of-two circular buffer. It reuses
+// its storage, so a queue that stays within its high-water mark allocates
+// nothing. A queue that drains after growing past queueKeep entries gives its
+// storage back, so a bulk burst does not pin thousands of slots on every
+// flow it ever touched.
+type queue[T any] struct {
+	buf  []T
+	head int
+	n    int
+}
+
+func (r *queue[T]) len() int { return r.n }
+
+func (r *queue[T]) push(v T) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.n++
+}
+
+// pop removes and returns the oldest element; the queue must not be empty.
+func (r *queue[T]) pop() T {
+	var zero T
+	v := r.buf[r.head]
+	r.buf[r.head] = zero // drop the reference for the GC
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	if r.n == 0 && len(r.buf) > queueKeep {
+		r.buf, r.head = nil, 0
+	}
+	return v
+}
+
+// queueKeep is the largest buffer a drained queue keeps for reuse.
+const queueKeep = 256
+
+func (r *queue[T]) grow() {
+	size := 2 * len(r.buf)
+	if size == 0 {
+		size = 8
+	}
+	buf := make([]T, size)
+	for i := 0; i < r.n; i++ {
+		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+	}
+	r.buf, r.head = buf, 0
 }

@@ -765,3 +765,30 @@ func TestAckPathRoutesRemoteCompletions(t *testing.T) {
 	r.h1.ApplyAck(Ack{SrcQPN: 0xdead, Op: OpSend, Status: StatusOK, WRID: 1})
 	r.eng.Shutdown()
 }
+
+// TestSendMsgOnePacketAllocation requires segmenting a message to cost
+// exactly one packet allocation whatever its MTU count: all of a message's
+// packets share one slab.
+func TestSendMsgOnePacketAllocation(t *testing.T) {
+	eng := sim.New()
+	h := New(eng, Config{Node: 1})
+	h.SetUplink(fabric.NewLink(eng, "up", testBW, 100, fabric.RoundRobin, func(*fabric.Packet) {}))
+	pd := h.AllocPD(guestmem.NewSpace(1 << 20))
+	qp := pd.CreateQP(pd.CreateCQ(16), pd.CreateCQ(16), 16, 16)
+	if err := qp.Connect(2, 0x99); err != nil {
+		t.Fatal(err)
+	}
+	// The largest message goes first, so the link's queues reach their
+	// high-water mark before anything is measured.
+	for _, mtus := range []int{64, 1, 2, 17, 64} {
+		m := &wireMsg{op: OpSend, srcNode: 1, srcQPN: qp.qpn, dstQPN: 0x99, len: mtus * h.MTU(), total: mtus}
+		send := func() {
+			qp.sendMsg(m, m.len)
+			eng.Run()
+		}
+		send()
+		if allocs := testing.AllocsPerRun(10, send); allocs != 1 {
+			t.Errorf("%d-MTU message: %.1f allocations, want 1 (the packet slab)", mtus, allocs)
+		}
+	}
+}

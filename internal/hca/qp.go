@@ -385,7 +385,9 @@ func mtuCount(n, mtu int) int {
 	return (n + mtu - 1) / mtu
 }
 
-// sendMsg enqueues all MTUs of m onto the uplink.
+// sendMsg enqueues all MTUs of m onto the uplink. The message's packets
+// share one slab, so segmenting costs one allocation however many MTUs it
+// has; the slab lives until the last of them is delivered.
 func (qp *QP) sendMsg(m *wireMsg, byteLen int) {
 	h := qp.pd.hca
 	h.msgsSent++
@@ -394,7 +396,8 @@ func (qp *QP) sendMsg(m *wireMsg, byteLen int) {
 	if m.op == OpRDMARead {
 		rem = 0 // the read request itself carries no payload
 	}
-	for i := 0; i < m.total; i++ {
+	pkts := make([]fabric.Packet, m.total)
+	for i := range pkts {
 		sz := rem
 		if sz > h.cfg.MTU {
 			sz = h.cfg.MTU
@@ -403,7 +406,7 @@ func (qp *QP) sendMsg(m *wireMsg, byteLen int) {
 			sz = 64 // control-only packet (zero-length send, read request)
 		}
 		rem -= sz
-		h.uplink.Send(&fabric.Packet{
+		pkts[i] = fabric.Packet{
 			Flow:    qp.qpn,
 			SrcNode: h.cfg.Node,
 			DstNode: qp.remoteNode,
@@ -412,7 +415,8 @@ func (qp *QP) sendMsg(m *wireMsg, byteLen int) {
 			Index:   i,
 			Last:    i == m.total-1,
 			Meta:    m,
-		})
+		}
+		h.uplink.Send(&pkts[i])
 	}
 }
 

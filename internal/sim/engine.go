@@ -91,6 +91,7 @@ type Engine struct {
 	now      Time
 	events   eventHeap
 	wheel    []*periodic
+	wmin     int // cached wheelMin index; -1 when stale
 	free     []*event
 	seq      uint64
 	procs    map[*Proc]struct{}
@@ -114,7 +115,7 @@ type breakpoint struct {
 
 // New returns an empty engine with the clock at zero.
 func New() *Engine {
-	return &Engine{procs: make(map[*Proc]struct{})}
+	return &Engine{procs: make(map[*Proc]struct{}), wmin: -1}
 }
 
 // Now returns the current virtual time.
@@ -195,6 +196,7 @@ func (e *Engine) Every(d Time, fn func()) Timer {
 	e.seq++
 	p := &periodic{eng: e, period: d, nextAt: e.now + d, seq: e.seq, fn: fn}
 	e.wheel = append(e.wheel, p)
+	e.wmin = -1
 	return Timer{per: p}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -12,11 +13,20 @@ import (
 // under all of it: executed (at, seq) keys are strictly increasing, i.e.
 // time never goes backwards and same-instant events fire in schedule order.
 // The step hook observes every pop, so the check covers both the binary heap
-// and the periodic wheel and their interleaving.
+// and the periodic wheel and their interleaving. After every Step the cached
+// wheel minimum must equal a fresh scan, including after ticks that call
+// Every, stop another timer, or stop themselves.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x00\x10\x00\x04\x10\x00\x01\x08\x00\x02\x40\x00\x03\x01\x00"))
 	f.Add([]byte("\x02\x01\x00\x02\x01\x00\x04\x00\x00\x04\x00\x00\x03\x00\x00"))
+	// A one-shot adds a ticker due before the current wheel minimum.
+	f.Add([]byte("\x02\xe8\x03\x01\x0a\x00\x05\x00\x00\x05\x00\x00\x02\x00\x00"))
+	// A one-shot stops the wheel minimum; swap-removal moves a later ticker
+	// into its slot.
+	f.Add([]byte("\x02\xe8\x03\x02\xd0\x07\x02\xb8\x0b\x01\x0a\x00\x03\x00\x00"))
+	// Tickers whose ticks add tickers, stop a sibling, and stop themselves.
+	f.Add([]byte("\x02\x00\x00\x02\x10\x00\x02\x20\x00\x02\x05\x00\x03\x01\x00\x05\x00\x00\x02\x30\x00\x05\x00\x00\x03\x02\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			data = data[:512]
@@ -35,12 +45,13 @@ func FuzzEventQueue(f *testing.F) {
 		var timers []Timer
 		pos := 0
 		periodics := 0
+		self := -1 // index in timers of the ticker whose tick is running
 		var interp func()
 		interp = func() {
 			if pos+3 > len(data) {
 				return
 			}
-			op := data[pos] % 5
+			op := data[pos] % 6
 			d := Time(binary.LittleEndian.Uint16(data[pos+1 : pos+3]))
 			pos += 3
 			switch op {
@@ -53,7 +64,12 @@ func FuzzEventQueue(f *testing.F) {
 				// for millions of ticks inside the fuzz horizon.
 				if periodics < 8 {
 					periodics++
-					timers = append(timers, eng.Every(64+d%4096, interp))
+					idx := len(timers)
+					timers = append(timers, eng.Every(64+d%4096, func() {
+						self = idx
+						interp()
+						self = -1
+					}))
 				}
 			case 3:
 				if len(timers) > 0 {
@@ -63,18 +79,36 @@ func FuzzEventQueue(f *testing.F) {
 				// Same-instant tie: both must fire, in schedule order.
 				at := eng.Now() + d
 				timers = append(timers, eng.Schedule(at, interp), eng.Schedule(at, interp))
+			case 5:
+				// A tick stops its own timer.
+				if self >= 0 {
+					timers[self].Stop()
+				}
+			}
+		}
+		// run steps until the next event lies past horizon, checking the
+		// cached wheel minimum against a fresh scan after every Step.
+		run := func(horizon Time) {
+			for {
+				if at, ok := eng.peek(); !ok || at > horizon {
+					return
+				}
+				eng.Step()
+				if got, want := eng.wheelMin(), eng.scanWheelMin(); got != want {
+					t.Fatalf("cached wheel minimum %d, scan finds %d", got, want)
+				}
 			}
 		}
 		for i := 0; i < 4 && pos < len(data); i++ {
 			interp()
 		}
-		eng.RunUntil(1 << 17)
+		run(1 << 17)
 		for i := range timers {
 			timers[i].Stop()
 		}
 		// Drain what the program scheduled past the horizon; with every
 		// periodic stopped this terminates.
-		eng.Run()
+		run(math.MaxInt64)
 		if eng.Pending() != 0 {
 			t.Fatalf("queue not drained: %d events pending after Run", eng.Pending())
 		}

@@ -16,9 +16,22 @@ type periodic struct {
 }
 
 // wheelMin returns the index of the earliest pending periodic by (nextAt,
-// seq), or -1 when the wheel is empty. The wheel holds a handful of tickers,
-// so a linear scan beats any ordered structure's maintenance cost.
+// seq), or -1 when the wheel is empty. The index is cached: only Every,
+// wheelRemove and a tick's in-place reschedule change the wheel, and each of
+// them invalidates the cache, so the run loop's per-event peek and Step pay
+// one comparison instead of a scan. A simulation keeps one ticker per
+// tenant, VCPU and monitor — dozens to hundreds — and ticks are rare next to
+// one-shot events, so rescanning after each change costs far less than
+// maintaining an ordered structure would.
 func (e *Engine) wheelMin() int {
+	if e.wmin < 0 {
+		e.wmin = e.scanWheelMin()
+	}
+	return e.wmin
+}
+
+// scanWheelMin finds the earliest pending periodic by a linear scan.
+func (e *Engine) scanWheelMin() int {
 	best := -1
 	for i, p := range e.wheel {
 		if best < 0 || p.nextAt < e.wheel[best].nextAt ||
@@ -38,6 +51,7 @@ func (e *Engine) wheelRemove(p *periodic) {
 			e.wheel[i] = e.wheel[n]
 			e.wheel[n] = nil
 			e.wheel = e.wheel[:n]
+			e.wmin = -1
 			return
 		}
 	}
@@ -47,7 +61,9 @@ func (e *Engine) wheelRemove(p *periodic) {
 // reschedule in place unless the timer stopped itself. The seq for the next
 // occurrence is assigned after fn runs — exactly where the old
 // heap-rescheduling implementation assigned it — so event ordering, and with
-// it every seeded experiment output, is unchanged byte for byte.
+// it every seeded experiment output, is unchanged byte for byte. The cached
+// minimum is invalidated after fn returns, which also covers a tick that
+// called Every or stopped another timer.
 func (e *Engine) fireWheel(i int) {
 	p := e.wheel[i]
 	e.now = p.nextAt
@@ -58,6 +74,7 @@ func (e *Engine) fireWheel(i int) {
 	p.firing = true
 	p.fn()
 	p.firing = false
+	e.wmin = -1
 	if p.stopped {
 		e.wheelRemove(p)
 		return

@@ -160,6 +160,7 @@ type VCPU struct {
 	owner      *sim.Proc
 	queue      []*sim.Proc // FIFO of guest threads waiting for the VCPU
 	mutexSig   *sim.Signal
+	yieldFn    func() // yieldIfIdle, bound once so release allocates nothing
 }
 
 // Domain returns the owning domain.
@@ -268,11 +269,14 @@ func (v *VCPU) release() {
 	}
 	v.owner = nil
 	if v.pcpu.current == v {
-		v.pcpu.hv.eng.After(0, func() {
-			if !v.demand() {
-				v.pcpu.yieldGrant(v)
-			}
-		})
+		v.pcpu.hv.eng.After(0, v.yieldFn)
+	}
+}
+
+// yieldIfIdle is release's deferred yield check.
+func (v *VCPU) yieldIfIdle() {
+	if !v.demand() {
+		v.pcpu.yieldGrant(v)
 	}
 }
 

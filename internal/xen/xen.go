@@ -248,6 +248,7 @@ func (d *Domain) AddVCPU(pcpu *PCPU) *VCPU {
 		mutexSig: sim.NewSignal(d.hv.eng),
 	}
 	v.budget = v.capShare()
+	v.yieldFn = v.yieldIfIdle
 	d.vcpus = append(d.vcpus, v)
 	pcpu.vcpus = append(pcpu.vcpus, v)
 	return v
