@@ -201,7 +201,7 @@ func BenchmarkEngineCore(b *testing.B) {
 			Benchmark: "BenchmarkEngineCore",
 			Events:    coreEvents,
 			Baseline:  side("container/heap", lElapsed, lMallocs, lBytes),
-			Current:   side("indexed-4ary+pool+wheel", cElapsed, cMallocs, cBytes),
+			Current:   side("indexed-4ary+pool", cElapsed, cMallocs, cBytes),
 		}
 		out.Speedup = out.Baseline.NsPerEvent / out.Current.NsPerEvent
 

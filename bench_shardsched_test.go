@@ -97,6 +97,13 @@ type legacyScorer struct {
 	weight float64
 }
 
+// legacyHostScore is one host's entry in the legacy score trace.
+type legacyHostScore struct {
+	Node     int
+	Feasible bool
+	Score    float64
+}
+
 func newLegacyInterferencePipeline() *legacyPipeline {
 	return &legacyPipeline{
 		filters: []schedshard.FilterPlugin{schedshard.FitsPCPUs{}, schedshard.HealthyHost{}},
@@ -108,12 +115,12 @@ func newLegacyInterferencePipeline() *legacyPipeline {
 	}
 }
 
-func (p *legacyPipeline) Select(hosts []*schedshard.HostInfo, s schedshard.Spec) (*schedshard.HostInfo, []schedshard.HostScore) {
+func (p *legacyPipeline) Select(hosts []*schedshard.HostInfo, s schedshard.Spec) (*schedshard.HostInfo, []legacyHostScore) {
 	var best *schedshard.HostInfo
 	bestScore := 0.0
-	trace := make([]schedshard.HostScore, 0, len(hosts))
+	trace := make([]legacyHostScore, 0, len(hosts))
 	for _, h := range hosts {
-		hs := schedshard.HostScore{Node: h.Node, Feasible: true}
+		hs := legacyHostScore{Node: h.Node, Feasible: true}
 		for _, f := range p.filters {
 			if !f.Filter(h, s) {
 				hs.Feasible = false

@@ -56,8 +56,6 @@ type (
 	ScorePlugin = schedshard.ScorePlugin
 	// Pipeline is the filter → score → bind decision chain.
 	Pipeline = schedshard.Pipeline
-	// HostScore is one host's pipeline outcome.
-	HostScore = schedshard.HostScore
 	// FitsPCPUs is the capacity filter.
 	FitsPCPUs = schedshard.FitsPCPUs
 	// HealthyHost filters out quarantined hosts.
@@ -104,7 +102,7 @@ func NewRatePipeline() *Pipeline { return schedshard.NewRatePipeline() }
 // RandomStrategy is the experiment baseline.
 type Strategy interface {
 	Name() string
-	Pick(hosts []*HostInfo, s Spec, rng *sim.Rand) (*HostInfo, []HostScore, error)
+	Pick(hosts []*HostInfo, s Spec, rng *sim.Rand) (*HostInfo, error)
 }
 
 // PipelineStrategy runs a plugin pipeline.
@@ -117,7 +115,7 @@ type PipelineStrategy struct {
 func (ps PipelineStrategy) Name() string { return ps.Label }
 
 // Pick implements Strategy.
-func (ps PipelineStrategy) Pick(hosts []*HostInfo, s Spec, _ *sim.Rand) (*HostInfo, []HostScore, error) {
+func (ps PipelineStrategy) Pick(hosts []*HostInfo, s Spec, _ *sim.Rand) (*HostInfo, error) {
 	return ps.P.Select(hosts, s)
 }
 
@@ -129,7 +127,7 @@ type RandomStrategy struct{}
 func (RandomStrategy) Name() string { return "random" }
 
 // Pick implements Strategy.
-func (RandomStrategy) Pick(hosts []*HostInfo, s Spec, rng *sim.Rand) (*HostInfo, []HostScore, error) {
+func (RandomStrategy) Pick(hosts []*HostInfo, s Spec, rng *sim.Rand) (*HostInfo, error) {
 	var feasible []*HostInfo
 	for _, h := range hosts {
 		if (FitsPCPUs{}).Filter(h, s) && (HealthyHost{}).Filter(h, s) {
@@ -137,7 +135,7 @@ func (RandomStrategy) Pick(hosts []*HostInfo, s Spec, rng *sim.Rand) (*HostInfo,
 		}
 	}
 	if len(feasible) == 0 {
-		return nil, nil, fmt.Errorf("placement: no feasible host for %q", s.Name)
+		return nil, fmt.Errorf("placement: no feasible host for %q", s.Name)
 	}
-	return feasible[rng.Intn(len(feasible))], nil, nil
+	return feasible[rng.Intn(len(feasible))], nil
 }

@@ -28,13 +28,13 @@ func bulkWorkload(name string, seed int64) Workload {
 type pinStrategy struct{ node int }
 
 func (s pinStrategy) Name() string { return "pin" }
-func (s pinStrategy) Pick(hosts []*HostInfo, sp Spec, _ *sim.Rand) (*HostInfo, []HostScore, error) {
+func (s pinStrategy) Pick(hosts []*HostInfo, sp Spec, _ *sim.Rand) (*HostInfo, error) {
 	for _, h := range hosts {
 		if h.Node == s.node {
-			return h, nil, nil
+			return h, nil
 		}
 	}
-	return nil, nil, fmt.Errorf("pin: node %d not offered", s.node)
+	return nil, fmt.Errorf("pin: node %d not offered", s.node)
 }
 
 func TestPipelineSelectTieBreakAndDeterminism(t *testing.T) {
@@ -47,26 +47,23 @@ func TestPipelineSelectTieBreakAndDeterminism(t *testing.T) {
 	}
 	pipe := NewInterferencePipeline()
 	spec := Spec{Name: "ls", LatencySensitive: true, BufferSize: 64 << 10}
-	best, trace, err := pipe.Select(mk(), spec)
+	best, err := pipe.Select(mk(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if best.Node != 1 {
 		t.Errorf("tie should break to lowest node, got %d", best.Node)
 	}
-	if len(trace) != 3 || trace[0].Node != 1 || trace[1].Node != 2 || trace[2].Node != 3 {
-		t.Errorf("trace not sorted by node: %+v", trace)
+	if full, err := pipe.Select(mk()[2:], spec); err == nil {
+		t.Errorf("full host %d passed the PCPU filter", full.Node)
 	}
-	if trace[1].Feasible {
-		t.Error("full host passed the PCPU filter")
-	}
-	again, _, _ := pipe.Select(mk(), spec)
+	again, _ := pipe.Select(mk(), spec)
 	if again.Node != best.Node {
 		t.Error("Select not deterministic")
 	}
 
 	// No feasible host at all.
-	if _, _, err := pipe.Select([]*HostInfo{{Node: 1, TotalPCPUs: 7}}, spec); err == nil {
+	if _, err := pipe.Select([]*HostInfo{{Node: 1, TotalPCPUs: 7}}, spec); err == nil {
 		t.Error("expected error with no feasible host")
 	}
 }
@@ -89,14 +86,14 @@ func TestInterferenceAwareBeatsSpreadOnContaminatedHost(t *testing.T) {
 	}
 	spec := Spec{Name: "ls-new", LatencySensitive: true, BufferSize: 64 << 10}
 
-	spread, _, err := NewSpreadPipeline().Select(mk(), spec)
+	spread, err := NewSpreadPipeline().Select(mk(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if spread.Node != 1 {
 		t.Errorf("spread should chase free CPUs onto node1, got %d", spread.Node)
 	}
-	aware, _, err := NewInterferencePipeline().Select(mk(), spec)
+	aware, err := NewInterferencePipeline().Select(mk(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +110,7 @@ func TestInterferenceAwareBeatsSpreadOnContaminatedHost(t *testing.T) {
 		{Node: 2, FreePCPUs: 3, TotalPCPUs: 7, LinkBytesPerSec: 1e9, ResoHeadroom: 1,
 			VMs: []VMInfo{bulk}},
 	}
-	got, _, err := NewInterferencePipeline().Select(hosts, bulkSpec)
+	got, err := NewInterferencePipeline().Select(hosts, bulkSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

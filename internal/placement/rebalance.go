@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"resex/internal/exchange"
+	"resex/internal/schedshard"
 	"resex/internal/sim"
 )
 
@@ -19,9 +20,6 @@ type RebalanceConfig struct {
 	// considered fully throttled; if the victim still breaches, the only
 	// remedy left is moving someone. Default 5.
 	CapFloorPct float64
-	// LargeBuffer classifies interferer candidates, like the scorer's
-	// threshold. Default 256 KB.
-	LargeBuffer int
 	// MaxMigrations bounds total migrations (safety valve against
 	// thrashing). Default 8.
 	MaxMigrations int
@@ -50,9 +48,6 @@ func (c RebalanceConfig) withDefaults() RebalanceConfig {
 	}
 	if c.CapFloorPct <= 0 {
 		c.CapFloorPct = 5
-	}
-	if c.LargeBuffer <= 0 {
-		c.LargeBuffer = 256 << 10
 	}
 	if c.MaxMigrations <= 0 {
 		c.MaxMigrations = 8
@@ -144,7 +139,7 @@ func (r *Rebalancer) pass(p *sim.Proc) {
 		if pl.HostIdx != srcIdx || pl.Spec.LatencySensitive {
 			continue
 		}
-		if pl.Spec.BufferSize < r.cfg.LargeBuffer {
+		if pl.Spec.BufferSize < schedshard.LargeBuffer {
 			continue
 		}
 		rate := 0.0
@@ -180,7 +175,7 @@ func (r *Rebalancer) pass(p *sim.Proc) {
 	// refreshed snapshot with the mover elided); migrate only to a strictly
 	// better home — when its current host wins (or ties), moving would be
 	// churn, not improvement.
-	target, _, err := r.pipe.Select(f.whatIf(mover), mover.Spec)
+	target, err := r.pipe.Select(f.whatIf(mover), mover.Spec)
 	if err != nil {
 		f.Log.Add(f.TB.Eng.Now(), "rebalance", "%s needs to move off node%d but %v",
 			mover.Spec.Name, src.Node, err)
@@ -231,7 +226,7 @@ func (r *Rebalancer) gradientPass(p *sim.Proc) {
 		if pl.HostIdx != srcIdx || pl.Spec.LatencySensitive {
 			continue
 		}
-		if pl.Spec.BufferSize < r.cfg.LargeBuffer {
+		if pl.Spec.BufferSize < schedshard.LargeBuffer {
 			continue
 		}
 		rate := 0.0
@@ -245,7 +240,7 @@ func (r *Rebalancer) gradientPass(p *sim.Proc) {
 	if mover == nil || f.TB.Eng.Now() < mover.retryAt {
 		return
 	}
-	target, _, err := r.pipe.Select(f.whatIf(mover), mover.Spec)
+	target, err := r.pipe.Select(f.whatIf(mover), mover.Spec)
 	if err != nil || target.Node == src.Node {
 		return
 	}

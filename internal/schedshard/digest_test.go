@@ -20,7 +20,7 @@ var digestSpecs = []Spec{
 // a latency-sensitive VM to a bulk sender), rates whose float sums are not
 // associative.
 func randomResident(rng *rand.Rand, name string) VMInfo {
-	buffers := []int{16 << 10, 64 << 10, defaultLargeBuffer - 1, defaultLargeBuffer, 1 << 20, 4 << 20}
+	buffers := []int{16 << 10, 64 << 10, LargeBuffer - 1, LargeBuffer, 1 << 20, 4 << 20}
 	spec := Spec{Name: name, LatencySensitive: rng.Intn(2) == 0,
 		BufferSize: buffers[rng.Intn(len(buffers))]}
 	vm := VMInfo{Spec: spec, BytesPerSec: rng.Float64() * 0.3e9, BufferSize: spec.BufferSize}
@@ -46,27 +46,23 @@ func randomDigestFleet(rng *rand.Rand, n int) []*HostInfo {
 	return hosts
 }
 
-// wantScore is the reference: the per-resident scan at default parameters.
+// wantScore is the reference: the per-resident scan.
 func wantScore(h *HostInfo, s Spec) float64 {
-	return 1 / (1 + interferenceScan(h, s, defaultLargeBuffer, defaultStaticPenalty))
+	return 1 / (1 + interferenceScan(h, s))
 }
 
 // checkDigestHost asserts a Store-maintained host carries a sealed digest
 // and that the digest-backed score equals the scan bit for bit, for every
-// spec class and for the default parameters spelled out explicitly.
+// spec class.
 func checkDigestHost(t *testing.T, when string, h *HostInfo) {
 	t.Helper()
 	if !h.digestSealed() {
 		t.Fatalf("%s: node %d digest not sealed to its %d VMs", when, h.Node, len(h.VMs))
 	}
-	explicit := InterferenceAware{LargeBuffer: defaultLargeBuffer, StaticPenalty: defaultStaticPenalty}
 	for _, s := range digestSpecs {
 		want := wantScore(h, s)
 		if got := (InterferenceAware{}).Score(h, s); got != want {
 			t.Fatalf("%s: node %d %s: digest score %v != scan %v", when, h.Node, s.Name, got, want)
-		}
-		if got := explicit.Score(h, s); got != want {
-			t.Fatalf("%s: node %d %s: explicit-default score %v != scan %v", when, h.Node, s.Name, got, want)
 		}
 	}
 }
@@ -170,23 +166,4 @@ func TestDigestStaleSealFallsBack(t *testing.T) {
 	// Republishing the edited copy reseals it.
 	st.Publish([]*HostInfo{&fresh})
 	checkDigestHost(t, "republished", st.Snapshot().Host(1))
-}
-
-// TestDigestNonDefaultParamsScan: non-default parameters never read the
-// digest (it is summed at the defaults); they score by scanning.
-func TestDigestNonDefaultParamsScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	st := NewStore()
-	st.Publish(randomDigestFleet(rng, 16))
-	for _, ia := range []InterferenceAware{{LargeBuffer: 1 << 20}, {StaticPenalty: 2.5}} {
-		for _, h := range st.Snapshot().Hosts {
-			for _, s := range digestSpecs {
-				want := 1 / (1 + interferenceScan(h, s, max(ia.LargeBuffer, defaultLargeBuffer),
-					max(ia.StaticPenalty, defaultStaticPenalty)))
-				if got := ia.Score(h, s); got != want {
-					t.Fatalf("%+v node %d %s: %v, want scan %v", ia, h.Node, s.Name, got, want)
-				}
-			}
-		}
-	}
 }

@@ -24,16 +24,11 @@ type weightedScorer struct {
 	weight float64
 }
 
-// Pipeline is the filter → score → bind decision chain.
-//
-// A Pipeline owns a reusable score-trace scratch buffer, so Select on a
-// warmed-up pipeline allocates nothing: the returned trace is valid only
-// until the next Select call. One pipeline therefore serves one goroutine;
-// give each shard its own (Config.NewPipeline).
+// Pipeline is the filter → score → bind decision chain. Select and Pick
+// allocate nothing and never write to the pipeline itself.
 type Pipeline struct {
 	filters []FilterPlugin
 	scorers []weightedScorer
-	trace   []HostScore // reused across Select calls
 }
 
 // NewPipeline creates an empty pipeline; compose it with AddFilter and
@@ -52,68 +47,51 @@ func (p *Pipeline) AddScorer(s ScorePlugin, weight float64) *Pipeline {
 	return p
 }
 
-// HostScore is one host's pipeline outcome, kept for decision logging.
-type HostScore struct {
-	Node     int
-	Feasible bool
-	Score    float64
-}
-
 // Select runs the pipeline over the host snapshots: hosts failing any
 // filter are out; the rest are scored by the weighted sum of all scorers;
 // the best score wins, ties broken by lowest node id (deterministic).
-// The returned trace covers every candidate, sorted by node id; it aliases
-// the pipeline's scratch buffer and is overwritten by the next Select.
-func (p *Pipeline) Select(hosts []*HostInfo, s Spec) (*HostInfo, []HostScore, error) {
+func (p *Pipeline) Select(hosts []*HostInfo, s Spec) (*HostInfo, error) {
 	var best *HostInfo
 	bestScore := 0.0
-	if cap(p.trace) < len(hosts) {
-		p.trace = make([]HostScore, 0, len(hosts))
-	}
-	trace := p.trace[:0]
 	for _, h := range hosts {
-		hs := HostScore{Node: h.Node, Feasible: true}
-		for _, f := range p.filters {
-			if !f.Filter(h, s) {
-				hs.Feasible = false
-				break
-			}
+		if !p.feasible(h, s) {
+			continue
 		}
-		if hs.Feasible {
-			for _, ws := range p.scorers {
-				hs.Score += ws.weight * ws.plugin.Score(h, s)
-			}
-			if best == nil || hs.Score > bestScore ||
-				(hs.Score == bestScore && h.Node < best.Node) {
-				best, bestScore = h, hs.Score
-			}
+		score := p.score(h, s)
+		if best == nil || score > bestScore ||
+			(score == bestScore && h.Node < best.Node) {
+			best, bestScore = h, score
 		}
-		trace = append(trace, hs)
 	}
-	// Insertion sort by node id: snapshot hosts are already Node-sorted, so
-	// this is a single linear pass in the common case — and unlike
-	// sort.Slice it allocates nothing (no closure, no reflect swapper).
-	for i := 1; i < len(trace); i++ {
-		hs := trace[i]
-		j := i - 1
-		for j >= 0 && trace[j].Node > hs.Node {
-			trace[j+1] = trace[j]
-			j--
-		}
-		trace[j+1] = hs
-	}
-	p.trace = trace
 	if best == nil {
-		return nil, trace, fmt.Errorf("placement: no feasible host for %q", s.Name)
+		return nil, fmt.Errorf("placement: no feasible host for %q", s.Name)
 	}
-	return best, trace, nil
+	return best, nil
+}
+
+// feasible reports whether h passes every filter.
+func (p *Pipeline) feasible(h *HostInfo, s Spec) bool {
+	for _, f := range p.filters {
+		if !f.Filter(h, s) {
+			return false
+		}
+	}
+	return true
+}
+
+// score is the weighted sum of every scorer's rating of h.
+func (p *Pipeline) score(h *HostInfo, s Spec) (score float64) {
+	for _, ws := range p.scorers {
+		score += ws.weight * ws.plugin.Score(h, s)
+	}
+	return score
 }
 
 // Pick is the shard-side hot path: same filter → score decision as Select,
-// but it returns the winner's index into hosts, keeps no trace, and breaks
-// score ties by *rotated* index order — candidate i ranks as (i-off) mod
-// len(hosts), lowest rank wins. With off = 0 over a Node-sorted host list
-// this is exactly Select's lowest-node tie-break; a per-shard offset makes
+// but it returns the winner's index into hosts and breaks score ties by
+// *rotated* index order — candidate i ranks as (i-off) mod len(hosts),
+// lowest rank wins. With off = 0 over a Node-sorted host list this is
+// exactly Select's lowest-node tie-break; a per-shard offset makes
 // equal-scoring shards start their tie-break at different points of the
 // host ring, which is the smart-conflict-avoidance trick: identical
 // pipelines stop all herding onto the same host when scores tie. Allocates
@@ -124,20 +102,10 @@ func (p *Pipeline) Pick(hosts []*HostInfo, s Spec, off int) int {
 	bestScore := 0.0
 	bestRank := 0
 	for i, h := range hosts {
-		feasible := true
-		for _, f := range p.filters {
-			if !f.Filter(h, s) {
-				feasible = false
-				break
-			}
-		}
-		if !feasible {
+		if !p.feasible(h, s) {
 			continue
 		}
-		score := 0.0
-		for _, ws := range p.scorers {
-			score += ws.weight * ws.plugin.Score(h, s)
-		}
+		score := p.score(h, s)
 		rank := i - off
 		if rank < 0 {
 			rank += n
@@ -242,50 +210,37 @@ func (ResoHeadroom) Score(h *HostInfo, _ Spec) float64 {
 // smoothly with pressure so two interferers on one host is judged worse
 // than one, but any interferer-free host beats every contaminated one.
 //
-// With default parameters the score is O(1) per host: it reads the host's
-// interference digest, which the Store keeps sealed to the resident list
-// and which is bit-identical to the scan. Hosts whose digest is not sealed
-// (views built outside the Store) and non-default parameters fall back to
-// scanning the residents.
-type InterferenceAware struct {
-	// LargeBuffer is the buffer size from which a VM counts as a bulk
-	// interferer. Default 256 KB (between the paper's harmless 64 KB and
-	// fatal 1–4 MB classes).
-	LargeBuffer int
-	// StaticPenalty is charged per risky colocation regardless of current
-	// traffic — a quiet bulk VM can burst any time. Default 1.
-	StaticPenalty float64
-}
+// Every risky colocation costs a static penalty of 1 regardless of current
+// traffic (a quiet bulk VM can burst any time); bulk senders also cost
+// their profiled share of the uplink.
+//
+// The score is O(1) per host: it reads the host's interference digest,
+// which the Store keeps sealed to the resident list and which is
+// bit-identical to the scan. Hosts whose digest is not sealed (views built
+// outside the Store) fall back to scanning the residents.
+type InterferenceAware struct{}
 
 // Name implements ScorePlugin.
-func (ia InterferenceAware) Name() string { return "interference-aware" }
+func (InterferenceAware) Name() string { return "interference-aware" }
 
 // Score implements ScorePlugin.
-func (ia InterferenceAware) Score(h *HostInfo, s Spec) float64 {
-	large := ia.LargeBuffer
-	if large <= 0 {
-		large = defaultLargeBuffer
+func (InterferenceAware) Score(h *HostInfo, s Spec) float64 {
+	if !h.digestSealed() {
+		return 1 / (1 + interferenceScan(h, s))
 	}
-	static := ia.StaticPenalty
-	if static <= 0 {
-		static = defaultStaticPenalty
+	penalty := 0.0
+	if s.LatencySensitive {
+		penalty = h.intf.bulkPenalty
+	} else if s.BufferSize >= LargeBuffer {
+		// The scan adds 1 once per latency-sensitive resident, an exact
+		// integer sum.
+		penalty = float64(h.intf.lsResidents)
 	}
-	if large == defaultLargeBuffer && static == defaultStaticPenalty && h.digestSealed() {
-		penalty := 0.0
-		if s.LatencySensitive {
-			penalty = h.intf.bulkPenalty
-		} else if s.BufferSize >= large {
-			// The scan adds static (1) once per latency-sensitive resident,
-			// an exact integer sum.
-			penalty = float64(h.intf.lsResidents)
-		}
-		return 1 / (1 + penalty)
-	}
-	return 1 / (1 + interferenceScan(h, s, large, static))
+	return 1 / (1 + penalty)
 }
 
 // interferenceScan is InterferenceAware's per-resident penalty scan.
-func interferenceScan(h *HostInfo, s Spec, large int, static float64) float64 {
+func interferenceScan(h *HostInfo, s Spec) float64 {
 	penalty := 0.0
 	if s.LatencySensitive {
 		// Placing a latency-sensitive VM: every resident bulk sender hurts,
@@ -293,18 +248,18 @@ func interferenceScan(h *HostInfo, s Spec, large int, static float64) float64 {
 		// i.e. bytes/s) relative to the uplink.
 		for i := range h.VMs {
 			vm := &h.VMs[i]
-			if vm.EffectiveBuffer() >= large {
-				penalty += static
+			if vm.EffectiveBuffer() >= LargeBuffer {
+				penalty++
 				if h.LinkBytesPerSec > 0 {
 					penalty += vm.BytesPerSec / h.LinkBytesPerSec
 				}
 			}
 		}
-	} else if s.BufferSize >= large {
+	} else if s.BufferSize >= LargeBuffer {
 		// Placing a bulk VM: penalize hosts running latency-sensitive VMs.
 		for i := range h.VMs {
 			if h.VMs[i].Spec.LatencySensitive {
-				penalty += static
+				penalty++
 			}
 		}
 	}

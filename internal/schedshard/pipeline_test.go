@@ -20,17 +20,16 @@ func contaminatedFleet() []*HostInfo {
 }
 
 // TestSelectZeroAllocHotPath is the zero-alloc contract on the warmed
-// pipeline: Select reuses its trace scratch, so steady-state placement
-// decisions allocate nothing.
+// pipeline: steady-state placement decisions allocate nothing.
 func TestSelectZeroAllocHotPath(t *testing.T) {
 	pipe := NewInterferencePipeline()
 	hosts := contaminatedFleet()
 	spec := Spec{Name: "probe", LatencySensitive: true, BufferSize: 64 << 10}
-	if _, _, err := pipe.Select(hosts, spec); err != nil { // warm the scratch
+	if _, err := pipe.Select(hosts, spec); err != nil { // warm up
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, _, err := pipe.Select(hosts, spec); err != nil {
+		if _, err := pipe.Select(hosts, spec); err != nil {
 			t.Error(err)
 		}
 	}); allocs != 0 {
@@ -39,7 +38,7 @@ func TestSelectZeroAllocHotPath(t *testing.T) {
 }
 
 // TestPickZeroAlloc: the shard hot path must allocate nothing from the
-// first call (it keeps no trace at all).
+// first call.
 func TestPickZeroAlloc(t *testing.T) {
 	pipe := NewInterferencePipeline()
 	hosts := contaminatedFleet()
@@ -63,7 +62,7 @@ func TestPickMatchesSelectAtZeroOffset(t *testing.T) {
 		{Name: "bulk", BufferSize: 2 << 20},
 	}
 	for _, spec := range specs {
-		best, _, err := pipe.Select(hosts, spec)
+		best, err := pipe.Select(hosts, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +130,7 @@ func TestRatePipelinePrefersCheapHost(t *testing.T) {
 	}
 	pipe := NewRatePipeline()
 	spec := Spec{Name: "bulk", BufferSize: 2 << 20}
-	best, _, err := pipe.Select(hosts, spec)
+	best, err := pipe.Select(hosts, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +141,7 @@ func TestRatePipelinePrefersCheapHost(t *testing.T) {
 	// latency-sensitive arrival and it must lose to a pricier clean host.
 	hosts[0].VMs = []VMInfo{{Spec: Spec{Name: "bulk0", BufferSize: 2 << 20}, BytesPerSec: 100e6, BufferSize: 2 << 20}}
 	ls := Spec{Name: "ls", LatencySensitive: true, BufferSize: 64 << 10}
-	best, _, err = pipe.Select(hosts, ls)
+	best, err = pipe.Select(hosts, ls)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,8 @@ type Config struct {
 	Workers int
 	// Seed drives the splitmix64 key→shard partition hash.
 	Seed int64
-	// NewPipeline builds one shard's private pipeline (pipelines carry
-	// scratch buffers and must not be shared across goroutines). Default
+	// NewPipeline builds one shard's private pipeline (a custom plugin may
+	// keep state, so shards never share one). Default
 	// NewInterferencePipeline.
 	NewPipeline func() *Pipeline
 	// AvoidConflicts rotates each shard's score-tie-break start around the

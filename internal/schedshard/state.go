@@ -142,27 +142,24 @@ type HostInfo struct {
 	Prices [exchange.NumDims]float64
 	VMs    []VMInfo
 
-	// intf caches what InterferenceAware's default scan would compute over
-	// VMs. It is valid only while its seal matches (see digestSealed).
+	// intf caches what InterferenceAware's scan would compute over VMs.
+	// It is valid only while its seal matches (see digestSealed).
 	intf interferenceDigest
 }
 
-// Interference defaults shared by the InterferenceAware scorer and the
-// per-host digest: the buffer size from which a resident counts as a bulk
+// LargeBuffer is the buffer size from which a VM counts as a bulk
 // interferer (between the paper's harmless 64 KB and fatal 1–4 MB
-// classes), and the static penalty charged per risky colocation.
-const (
-	defaultLargeBuffer   = 256 << 10
-	defaultStaticPenalty = 1.0
-)
+// classes). The InterferenceAware scorer, the per-host digest and the
+// placement rebalancer all classify VMs by it.
+const LargeBuffer = 256 << 10
 
-// interferenceDigest is a host's resident-VM interference summary under
-// the default InterferenceAware parameters, so the scorer reads one field
-// per host instead of scanning every resident.
+// interferenceDigest is a host's resident-VM interference summary, so the
+// InterferenceAware scorer reads one field per host instead of scanning
+// every resident.
 //
 // bulkPenalty is the penalty a latency-sensitive placement pays, summed in
 // exactly the scan's float order — per bulk resident, in residence order,
-// += static then += bytes/link — so it is bit-identical to the scan.
+// += 1 then += bytes/link — so it is bit-identical to the scan.
 // lsResidents counts the latency-sensitive residents a bulk placement is
 // charged for.
 //
@@ -193,8 +190,8 @@ func vmsData(vms []VMInfo) *VMInfo {
 
 // add folds one resident into the digest, in the scan's order.
 func (d *interferenceDigest) add(vm *VMInfo, link float64) {
-	if vm.EffectiveBuffer() >= defaultLargeBuffer {
-		d.bulkPenalty += defaultStaticPenalty
+	if vm.EffectiveBuffer() >= LargeBuffer {
+		d.bulkPenalty++
 		if link > 0 {
 			d.bulkPenalty += vm.BytesPerSec / link
 		}

@@ -2,37 +2,28 @@ package sim
 
 import "sort"
 
-// EventKey is the ordering key of one pending one-shot event. Two runs that
-// executed the same history hold byte-identical key sets, which is what the
-// snapshot verifier compares.
+// EventKey is the ordering key of one pending event. Two runs that executed
+// the same history hold byte-identical key sets, which is what the snapshot
+// verifier compares.
 type EventKey struct {
 	At  Time   `json:"at"`
 	Seq uint64 `json:"seq"`
 }
 
-// PeriodicState is one recurring timer's position on the wheel.
-type PeriodicState struct {
-	Period  Time   `json:"period"`
-	NextAt  Time   `json:"next_at"`
-	Seq     uint64 `json:"seq"`
-	Stopped bool   `json:"stopped"`
-}
-
 // EngineState is the engine's deterministic state export: the clock, the
-// step and seq counters, every pending event's (at, seq) key in heap order
-// normalized to (at, seq) ascending, the timer wheel, and the slab pool's
-// occupancy. Callbacks are Go closures and cannot be serialized — restoring
-// an engine means deterministically replaying the run that produced it — so
-// this export exists to *prove* a replay landed in the same state, not to
-// resurrect one structurally.
+// step and seq counters, every pending event's (at, seq) key — one-shots
+// and recurring timers' next occurrences alike — normalized to (at, seq)
+// ascending, and the slab pool's occupancy. Callbacks are Go closures and
+// cannot be serialized — restoring an engine means deterministically
+// replaying the run that produced it — so this export exists to *prove* a
+// replay landed in the same state, not to resurrect one structurally.
 type EngineState struct {
-	Now        Time            `json:"now"`
-	Steps      uint64          `json:"steps"`
-	Seq        uint64          `json:"seq"`
-	Events     []EventKey      `json:"events"`
-	Wheel      []PeriodicState `json:"wheel"`
-	FreeEvents int             `json:"free_events"`
-	Procs      int             `json:"procs"`
+	Now        Time       `json:"now"`
+	Steps      uint64     `json:"steps"`
+	Seq        uint64     `json:"seq"`
+	Events     []EventKey `json:"events"`
+	FreeEvents int        `json:"free_events"`
+	Procs      int        `json:"procs"`
 }
 
 // Checkpoint exports the engine's current state. It is a pure observer:
@@ -55,11 +46,5 @@ func (e *Engine) Checkpoint() EngineState {
 		}
 		return st.Events[i].Seq < st.Events[j].Seq
 	})
-	st.Wheel = make([]PeriodicState, 0, len(e.wheel))
-	for _, p := range e.wheel {
-		st.Wheel = append(st.Wheel, PeriodicState{
-			Period: p.period, NextAt: p.nextAt, Seq: p.seq, Stopped: p.stopped,
-		})
-	}
 	return st
 }

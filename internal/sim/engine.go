@@ -34,14 +34,10 @@ func (t *Timer) Stop() bool {
 			return false
 		}
 		p.stopped = true
-		if p.firing {
-			// Stopped from inside its own tick: the pending occurrence is
-			// the one currently executing, so nothing future was canceled;
-			// the engine sees stopped after fn returns and drops the timer.
-			return false
-		}
-		p.eng.wheelRemove(p)
-		return true
+		// From inside its own tick the occurrence has already been popped,
+		// so p.t is not live: nothing future is canceled and fire sees
+		// stopped after fn returns.
+		return p.t.Stop()
 	}
 	if !t.live() {
 		return false
@@ -71,7 +67,7 @@ func (t *Timer) When() Time {
 		return 0
 	}
 	if t.per != nil {
-		return t.per.nextAt
+		return t.per.t.at
 	}
 	return t.at
 }
@@ -85,13 +81,11 @@ func (t *Timer) When() Time {
 //
 // The hot path is allocation-free: events are concrete structs recycled
 // through a slab-allocated free list, the queue is an inlined 4-ary indexed
-// heap (no container/heap interface boxing), recurring timers reschedule in
-// place on a wheel without touching the heap, and Timer handles are values.
+// heap (no container/heap interface boxing), recurring timers reuse pooled
+// events through a method value bound once, and Timer handles are values.
 type Engine struct {
 	now      Time
 	events   eventHeap
-	wheel    []*periodic
-	wmin     int // cached wheelMin index; -1 when stale
 	free     []*event
 	seq      uint64
 	procs    map[*Proc]struct{}
@@ -115,7 +109,7 @@ type breakpoint struct {
 
 // New returns an empty engine with the clock at zero.
 func New() *Engine {
-	return &Engine{procs: make(map[*Proc]struct{}), wmin: -1}
+	return &Engine{procs: make(map[*Proc]struct{})}
 }
 
 // Now returns the current virtual time.
@@ -185,19 +179,36 @@ func (e *Engine) After(d Time, fn func()) Timer {
 }
 
 // Every schedules fn at now+d, now+2d, ... until the returned Timer is
-// stopped. fn observes the tick time via Engine.Now. The recurring timer
-// lives on the engine's wheel: each tick reschedules in place, so periodic
-// load — the dominant event class in a full simulation — never touches the
-// heap and never allocates.
+// stopped. fn observes the tick time via Engine.Now. Each occurrence is an
+// ordinary pooled heap event; after fn returns the tick schedules the next
+// one, so a recurring timer allocates only when it is created.
 func (e *Engine) Every(d Time, fn func()) Timer {
 	if d <= 0 {
 		panic("sim: Every requires a positive period")
 	}
-	e.seq++
-	p := &periodic{eng: e, period: d, nextAt: e.now + d, seq: e.seq, fn: fn}
-	e.wheel = append(e.wheel, p)
-	e.wmin = -1
+	p := &periodic{period: d, fn: fn}
+	p.fireFn = p.fire
+	p.t = e.Schedule(e.now+d, p.fireFn)
 	return Timer{per: p}
+}
+
+// periodic is a recurring timer created with Every.
+type periodic struct {
+	period  Time
+	fn      func()
+	fireFn  func() // p.fire, bound once so a tick allocates no closure
+	t       Timer  // the pending occurrence, or the last one fired
+	stopped bool
+}
+
+// fire runs one tick, then schedules the next unless fn stopped the timer.
+// The next occurrence draws its seq after fn runs, so events fn schedules
+// for the next tick's instant run before that tick.
+func (p *periodic) fire() {
+	p.fn()
+	if !p.stopped {
+		p.t = p.t.eng.Schedule(p.t.at+p.period, p.fireFn)
+	}
 }
 
 // Breakpoint registers fn to run once every event with timestamp <= at has
@@ -256,15 +267,6 @@ func (e *Engine) fireBreaksBefore(limit Time) {
 // Step executes the single earliest pending event. It reports false when no
 // events remain.
 func (e *Engine) Step() bool {
-	if len(e.wheel) > 0 {
-		wi := e.wheelMin()
-		w := e.wheel[wi]
-		if len(e.events) == 0 || w.nextAt < e.events[0].at ||
-			(w.nextAt == e.events[0].at && w.seq < e.events[0].seq) {
-			e.fireWheel(wi)
-			return true
-		}
-	}
 	if len(e.events) == 0 {
 		return false
 	}
@@ -283,17 +285,10 @@ func (e *Engine) Step() bool {
 
 // peek returns the time of the earliest pending event.
 func (e *Engine) peek() (Time, bool) {
-	var at Time
-	ok := false
-	if len(e.events) > 0 {
-		at, ok = e.events[0].at, true
+	if len(e.events) == 0 {
+		return 0, false
 	}
-	if len(e.wheel) > 0 {
-		if w := e.wheel[e.wheelMin()].nextAt; !ok || w < at {
-			at, ok = w, true
-		}
-	}
-	return at, ok
+	return e.events[0].at, true
 }
 
 // Run executes events until none remain or Stop is called.
@@ -343,12 +338,10 @@ func (e *Engine) RunUntil(t Time) {
 // completes. Pending events are preserved.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending returns the number of scheduled events in O(1): the heap holds
-// only live one-shots (cancelation removes in place) and every wheel entry
-// has exactly one pending occurrence.
-func (e *Engine) Pending() int {
-	return len(e.events) + len(e.wheel)
-}
+// Pending returns the number of scheduled events in O(1): cancelation
+// removes from the heap in place, and a recurring timer holds exactly one
+// pending occurrence.
+func (e *Engine) Pending() int { return len(e.events) }
 
 // Shutdown kills every live process so their goroutines exit. Call at the end
 // of a simulation that still has parked processes.

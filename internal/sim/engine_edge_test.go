@@ -336,9 +336,9 @@ func TestTimerActive(t *testing.T) {
 	}
 }
 
-// TestPendingCountsWheel: Pending is O(1) and counts both heap events and
+// TestPendingCountsPeriodic: Pending is O(1) and counts both one-shots and
 // pending periodic occurrences.
-func TestPendingCountsWheel(t *testing.T) {
+func TestPendingCountsPeriodic(t *testing.T) {
 	e := New()
 	tm := e.Every(10, func() {})
 	e.Schedule(5, func() {})
@@ -348,7 +348,7 @@ func TestPendingCountsWheel(t *testing.T) {
 	}
 	e.RunUntil(7)
 	if got := e.Pending(); got != 1 {
-		t.Errorf("Pending after one-shots = %d, want 1 (the wheel entry)", got)
+		t.Errorf("Pending after one-shots = %d, want 1 (the periodic occurrence)", got)
 	}
 	tm.Stop()
 	if got := e.Pending(); got != 0 {

@@ -45,17 +45,14 @@ func (h *eventHeap) popMin() *event {
 	old[n] = nil
 	*h = old[:n]
 	if n > 0 {
-		old[0] = last
-		last.index = 0
-		(*h).down(0)
+		(*h).fill(0, last)
 	}
 	ev.index = -1
 	return ev
 }
 
-// removeAt deletes the event at heap position i (cancelation). The freed
-// slot is filled by the last element, which is then sifted in whichever
-// direction restores order.
+// removeAt deletes the event at heap position i (cancelation); the last
+// element fills the freed slot.
 func (h *eventHeap) removeAt(i int) *event {
 	old := *h
 	ev := old[i]
@@ -64,12 +61,7 @@ func (h *eventHeap) removeAt(i int) *event {
 	old[n] = nil
 	*h = old[:n]
 	if i < n {
-		old[i] = last
-		last.index = i
-		(*h).down(i)
-		if last.index == i {
-			(*h).up(i)
-		}
+		(*h).fill(i, last)
 	}
 	ev.index = -1
 	return ev
@@ -91,10 +83,13 @@ func (h eventHeap) up(i int) {
 	ev.index = i
 }
 
-// down sifts h[i] toward the leaves.
-func (h eventHeap) down(i int) {
+// fill places ev into the hole at h[i]. The hole first descends along the
+// smallest children to a leaf, then ev sifts up from there. Callers refill
+// with the array's last element, which is usually late (often a far-future
+// timer) and belongs near the leaves anyway, so skipping the compare
+// against ev on the way down saves one comparison per level.
+func (h eventHeap) fill(i int, ev *event) {
 	n := len(h)
-	ev := h[i]
 	for {
 		c := i<<2 + 1
 		if c >= n {
@@ -110,15 +105,12 @@ func (h eventHeap) down(i int) {
 				m = k
 			}
 		}
-		if !lessEv(h[m], ev) {
-			break
-		}
 		h[i] = h[m]
 		h[i].index = i
 		i = m
 	}
 	h[i] = ev
-	ev.index = i
+	h.up(i)
 }
 
 // eventSlabSize is how many events one pool refill allocates at once, so a

@@ -10,7 +10,7 @@
 //  1. the generative inputs (experiment id or daemon scenario config, seed,
 //     durations, the command log),
 //  2. the capture point T (virtual time), and
-//  3. a full per-subsystem state export at T: engine queue/wheel keys and
+//  3. a full per-subsystem state export at T: engine queue keys and
 //     counters, RNG stream positions, Xen/HCA/ResEx ledgers, IBMon
 //     confidence state, fault-plan cursors, workload arrival and SLO-window
 //     state, invariant-auditor accumulators.
@@ -46,7 +46,9 @@ import (
 // trade books: board utilization EWMAs, ledger totals, holder positions).
 // Version 5: exchange vectors widened by the memory-bandwidth dimension
 // (DimMemBW) and schedshard pending/bound entries carry gang fields.
-const Version = 5
+// Version 6: the engine export lost its timer-wheel list; recurring timers'
+// pending occurrences are ordinary entries in its event keys.
+const Version = 6
 
 // magic opens every snapshot file.
 var magic = []byte("RESEXSNAP\n")

@@ -254,17 +254,20 @@ func TestBundleWithNoSnapsErrors(t *testing.T) {
 }
 
 func TestDecodeRejectsPriorVersion(t *testing.T) {
-	// A Version-3 frame (the last format before the exchange section) must
-	// be rejected with an error naming both versions, not mis-parsed.
-	b := encodeSample(t)
-	binary.BigEndian.PutUint32(b[10:14], 3)
-	_, err := Decode(bytes.NewReader(b))
-	if err == nil {
-		t.Fatal("Decode accepted a version-3 snapshot")
-	}
-	if !strings.Contains(err.Error(), "format version 3") ||
-		!strings.Contains(err.Error(), fmt.Sprint(Version)) {
-		t.Fatalf("version error does not name both versions: %v", err)
+	// A Version-3 frame (the last format before the exchange section) and
+	// a Version-5 frame (the last with a timer-wheel engine export) must be
+	// rejected with an error naming both versions, not mis-parsed.
+	for _, v := range []uint32{3, 5} {
+		b := encodeSample(t)
+		binary.BigEndian.PutUint32(b[10:14], v)
+		_, err := Decode(bytes.NewReader(b))
+		if err == nil {
+			t.Fatalf("Decode accepted a version-%d snapshot", v)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("format version %d", v)) ||
+			!strings.Contains(err.Error(), fmt.Sprint(Version)) {
+			t.Fatalf("version error does not name both versions: %v", err)
+		}
 	}
 }
 
